@@ -81,16 +81,24 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*lead, t, heads * dk)
 
 
-def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
-    """Per-head post-softmax weights, shape (..., heads, T, T)."""
-    x = layer_norm(tokens, w.ln_scale, w.ln_shift)
-    q = _split_heads(linear(x, w.wq), w.heads)
-    k = _split_heads(linear(x, w.wk), w.heads)
+def _attention_weights(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of the scaled, masked scores of split-head q and k, (..., heads, Tq, Tk).
+
+    q is scaled in place, before the score product rather than on the Tq x Tk matrix.
+    """
     q /= np.sqrt(q.shape[-1])
     scores = q @ np.swapaxes(k, -1, -2)
     if add_mask is not None:
         scores += np.expand_dims(add_mask, -3)  # broadcast over heads
     return softmax_rows(scores)
+
+
+def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
+    """Per-head post-softmax weights of sft_mhsa, shape (..., heads, T, T)."""
+    x = layer_norm(tokens, w.ln_scale, w.ln_shift)
+    q = _split_heads(linear(x, w.wq), w.heads)
+    k = _split_heads(linear(x, w.wk), w.heads)
+    return _attention_weights(q, k, add_mask)
 
 
 def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
@@ -110,11 +118,7 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     q = _split_heads(linear(x, w.wq), w.heads)
     k = _split_heads(linear(x, w.wk), w.heads)
     v = _split_heads(linear(x, w.wv), w.heads)
-    q /= np.sqrt(q.shape[-1])  # scale before the score product, not the F x F matrix
-    scores = q @ np.swapaxes(k, -1, -2)
-    if add_mask is not None:
-        scores += np.expand_dims(add_mask, -3)
-    ctx = softmax_rows(scores) @ v
+    ctx = _attention_weights(q, k, add_mask) @ v
     return linear(_merge_heads(ctx), w.wo) + tokens
 
 
@@ -147,7 +151,5 @@ def cross_mhsa(full: np.ndarray, condensed: np.ndarray, w: CrossWeights) -> np.n
     kv_in = layer_norm(condensed, w.ln_kv_scale, w.ln_kv_shift)
     k = _split_heads(linear(kv_in, w.wk), w.heads)
     v = _split_heads(linear(kv_in, w.wv), w.heads)
-    q /= np.sqrt(q.shape[-1])
-    scores = q @ np.swapaxes(k, -1, -2)
-    ctx = softmax_rows(scores) @ v
+    ctx = _attention_weights(q, k, None) @ v
     return linear(_merge_heads(ctx), w.wo) + full

@@ -1,7 +1,7 @@
 """Command-line front end: generate, infer, profile, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 verification failure.
+Exit codes: 0 success, 1 pipeline stage failure (the stage is named on
+stderr), 2 configuration error, 3 I/O error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .diffusion import (
     mpjpe,
     timestep_for_iteration,
 )
-from .macs import profile_model
+from .macs import mask_support_rows, profile_model
 from .synthetic import MOTION_KINDS, generate_synthetic
 from .verify import run_all
 
 EXIT_OK = 0
+EXIT_STAGE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
@@ -193,6 +194,11 @@ def _cmd_profile(args) -> int:
         cfg.denoiser_config(), cfg.hypotheses, cfg.iterations, cfg.inference_sparse_blocks
     )
     print(report.format_table())
+    if mask_support_rows(cfg.frames, cfg.corr_topk) == cfg.frames:
+        print(
+            f"temporal mask saturated: 2*min(corr_topk, F-1)+1 >= F={cfg.frames}, so masked "
+            f"temporal attention costs as much as dense; the savings come only from pruning"
+        )
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(report.as_json())
@@ -226,7 +232,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except StageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_STAGE
 
 
 if __name__ == "__main__":

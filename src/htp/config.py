@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .denoiser import DenoiserConfig
 from .diffusion import SCHEDULE_KINDS, CameraModel
 
@@ -21,22 +19,14 @@ _CAMERA_KEYS = ("fx", "fy", "cx", "cy")
 DEFAULT_CAMERA = {"fx": 1145.0, "fy": 1145.0, "cx": 512.0, "cy": 512.0}
 
 
-@dataclass
-class RunConfig:
-    # architecture
-    joints: int = 17
-    frames: int = 243
-    embed_dim: int = 512
-    keep_frames: int = 54
-    corr_topk: int = 162
-    blocks: int = 8
-    sparse_blocks: int = 3
-    heads: int = 8
-    mlp_ratio: float = 6.0
-    pool_threshold: float = 0.5
-    knn_k: int = 5
-    temporal_graph: str = "chain"
-    recompute_mask_per_block: bool = False
+@dataclass(frozen=True)
+class RunConfig(DenoiserConfig):
+    """The architecture fields of DenoiserConfig plus sampling, camera and paths.
+
+    Construction checks every field and raises one ConfigError naming each
+    violated one; joint_adjacency may be given as nested lists.
+    """
+
     # sampling
     hypotheses: int = 20
     iterations: int = 10
@@ -48,17 +38,18 @@ class RunConfig:
     inference_sparse_blocks: int = 2
     # camera and paths
     camera: dict = field(default_factory=lambda: dict(DEFAULT_CAMERA))
-    joint_adjacency: list | None = None  # optional J x J override of the default skeleton
     input_2d: str | None = None
     input_gt: str | None = None
     output_3d: str | None = None
 
-    def validate(self) -> None:
-        problems = []
+    def __post_init__(self):
         try:
-            self.denoiser_config()
+            super().__post_init__()
         except ValueError as exc:
-            problems.append(str(exc))
+            raise ConfigError(str(exc)) from None
+
+    def problems(self) -> list[str]:
+        problems = super().problems()
         if self.hypotheses < 1:
             problems.append(f"hypotheses: must be >= 1 (got {self.hypotheses})")
         if self.iterations < 1:
@@ -83,31 +74,10 @@ class RunConfig:
                 self.camera_model()
             except ValueError as exc:
                 problems.append(f"camera: {exc}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        return problems
 
     def denoiser_config(self) -> DenoiserConfig:
-        adjacency = None
-        if self.joint_adjacency is not None:
-            adjacency = np.asarray(self.joint_adjacency, dtype=np.float64)
-            if adjacency.ndim != 2 or not np.array_equal(adjacency, adjacency.T):
-                raise ValueError(f"joint_adjacency: must be a symmetric square matrix (got shape {adjacency.shape})")
-        return DenoiserConfig(
-            joints=self.joints,
-            frames=self.frames,
-            embed_dim=self.embed_dim,
-            keep_frames=self.keep_frames,
-            corr_topk=self.corr_topk,
-            blocks=self.blocks,
-            sparse_blocks=self.sparse_blocks,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            pool_threshold=self.pool_threshold,
-            knn_k=self.knn_k,
-            temporal_graph=self.temporal_graph,
-            recompute_mask_per_block=self.recompute_mask_per_block,
-            joint_adjacency=adjacency,
-        )
+        return DenoiserConfig(**{f.name: getattr(self, f.name) for f in fields(DenoiserConfig)})
 
     def camera_model(self) -> CameraModel:
         return CameraModel(**{k: float(self.camera[k]) for k in _CAMERA_KEYS})
@@ -136,6 +106,4 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
 
-    cfg = RunConfig(**data)
-    cfg.validate()
-    return cfg
+    return RunConfig(**data)

@@ -8,7 +8,7 @@ equivalence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,6 +97,14 @@ class DenoiserConfig:
     joint_adjacency: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.joint_adjacency is not None:
+            object.__setattr__(self, "joint_adjacency", np.asarray(self.joint_adjacency, dtype=np.float64))
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def problems(self) -> list[str]:
+        """One message per violated constraint, each naming its field."""
         problems = []
         if self.joints < 1:
             problems.append(f"joints: must be >= 1 (got {self.joints})")
@@ -118,12 +126,12 @@ class DenoiserConfig:
             problems.append(f"knn_k: must be in [1, frames-1={self.frames - 1}] (got {self.knn_k})")
         if self.temporal_graph not in TEMPORAL_GRAPHS:
             problems.append(f"temporal_graph: must be one of {TEMPORAL_GRAPHS} (got {self.temporal_graph!r})")
-        if self.joint_adjacency is not None and self.joint_adjacency.shape != (self.joints, self.joints):
+        adj = self.joint_adjacency
+        if adj is not None and (adj.shape != (self.joints, self.joints) or not np.array_equal(adj, adj.T)):
             problems.append(
-                f"joint_adjacency: must be ({self.joints}, {self.joints}) (got {self.joint_adjacency.shape})"
+                f"joint_adjacency: must be a symmetric ({self.joints}, {self.joints}) matrix (got shape {adj.shape})"
             )
-        if problems:
-            raise ValueError("; ".join(problems))
+        return problems
 
     @property
     def mlp_hidden(self) -> int:
@@ -405,37 +413,20 @@ def _named_tensors(params: DenoiserParams) -> dict[str, np.ndarray]:
         "head.w": params.head_w,
         "head.b": params.head_b,
     }
-    def add_attn(prefix: str, a: AttnWeights):
-        out[f"{prefix}.wq"] = a.wq
-        out[f"{prefix}.wk"] = a.wk
-        out[f"{prefix}.wv"] = a.wv
-        out[f"{prefix}.wo"] = a.wo
-        out[f"{prefix}.ln_scale"] = a.ln_scale
-        out[f"{prefix}.ln_shift"] = a.ln_shift
-
-    def add_mlp(prefix: str, m: MlpWeights):
-        out[f"{prefix}.w1"] = m.w1
-        out[f"{prefix}.b1"] = m.b1
-        out[f"{prefix}.w2"] = m.w2
-        out[f"{prefix}.b2"] = m.b2
-        out[f"{prefix}.ln_scale"] = m.ln_scale
-        out[f"{prefix}.ln_shift"] = m.ln_shift
-
-    add_attn("entry.attn", params.entry_attn)
-    add_mlp("entry.mlp", params.entry_mlp)
+    groups = [("entry.attn", params.entry_attn), ("entry.mlp", params.entry_mlp)]
     for i, blk in enumerate(params.blocks):
-        add_attn(f"block{i}.spatial.attn", blk.spatial_attn)
-        add_mlp(f"block{i}.spatial.mlp", blk.spatial_mlp)
-        add_attn(f"block{i}.temporal.attn", blk.temporal_attn)
-        add_mlp(f"block{i}.temporal.mlp", blk.temporal_mlp)
-    out["cross.wq"] = params.cross.wq
-    out["cross.wk"] = params.cross.wk
-    out["cross.wv"] = params.cross.wv
-    out["cross.wo"] = params.cross.wo
-    out["cross.ln_q_scale"] = params.cross.ln_q_scale
-    out["cross.ln_q_shift"] = params.cross.ln_q_shift
-    out["cross.ln_kv_scale"] = params.cross.ln_kv_scale
-    out["cross.ln_kv_shift"] = params.cross.ln_kv_shift
+        groups += [
+            (f"block{i}.spatial.attn", blk.spatial_attn),
+            (f"block{i}.spatial.mlp", blk.spatial_mlp),
+            (f"block{i}.temporal.attn", blk.temporal_attn),
+            (f"block{i}.temporal.mlp", blk.temporal_mlp),
+        ]
+    groups.append(("cross", params.cross))
+    for prefix, weights in groups:  # every array field, in declaration order
+        for f in fields(weights):
+            value = getattr(weights, f.name)
+            if isinstance(value, np.ndarray):
+                out[f"{prefix}.{f.name}"] = value
     return out
 
 

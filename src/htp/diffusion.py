@@ -190,15 +190,6 @@ class HypothesisSet:
             raise ShapeError(f"HypothesisSet: expected (H, J, F, 3) with H >= 1, got {self.poses.shape}")
 
 
-def sample_initial_hypotheses(count: int, shape: tuple[int, int, int], rng: RngStream) -> HypothesisSet:
-    """Draw ``count`` unit-Gaussian pose sequences from per-hypothesis child streams."""
-    if count < 1:
-        raise ValueError(f"hypothesis count must be >= 1, got {count}")
-    children = [rng.child(h) for h in range(count)]
-    poses = np.stack([gaussian(c, shape) for c in children])
-    return HypothesisSet(poses=poses, seeds=tuple(c.seed for c in children))
-
-
 def jpma_aggregate(hyps: HypothesisSet, keypoints_2d: np.ndarray, camera: CameraModel) -> np.ndarray:
     """Per joint and frame, keep the hypothesis whose reprojection best
     matches the 2-D input; hypotheses behind the camera are disqualified

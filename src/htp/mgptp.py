@@ -33,14 +33,9 @@ class FrameTokens:
 class ClusterState:
     """Intermediate clustering quantities for one frame sequence."""
 
-    dist: np.ndarray       # (F, F) mask-guided distances
-    far: float             # sentinel distance for masked-out pairs
     density: np.ndarray    # (F,) kNN Gaussian-kernel local density, in (0, 1]
-    support: np.ndarray    # (F,) pooled-mask row support counts
-    stability: np.ndarray  # (F,) support with zero rows sent to -inf
-    response: np.ndarray   # (F,) density weighted by softmax of stability
+    response: np.ndarray   # (F,) density weighted by softmax of mask support
     separation: np.ndarray # (F,) distance to the nearest denser frame
-    knn_k: int
 
 
 def pool_tokens_and_mask(tokens: np.ndarray, mask: np.ndarray, threshold: float) -> FrameTokens:
@@ -130,22 +125,11 @@ def separation_distance(dist: np.ndarray, response: np.ndarray) -> np.ndarray:
 
 def cluster_scores(ft: FrameTokens, k: int) -> ClusterState:
     """Run the full clustering chain on pooled frame tokens."""
-    dist, far = masked_distance(ft)
+    dist, _ = masked_distance(ft)
     density = knn_density(dist, k) if ft.tokens.shape[0] >= 2 else np.ones(1)
-    support = ft.mask.sum(axis=1)
-    stability = np.where(support > 0, support, NEG_INF)
-    response = density * softmax_row(stability)
+    response = response_density(density, ft.mask)
     separation = separation_distance(dist, response)
-    return ClusterState(
-        dist=dist,
-        far=far,
-        density=density,
-        support=support,
-        stability=stability,
-        response=response,
-        separation=separation,
-        knn_k=k,
-    )
+    return ClusterState(density=density, response=response, separation=separation)
 
 
 def select_and_prune(tokens: np.ndarray, state: ClusterState, keep: int) -> tuple[np.ndarray, np.ndarray]:

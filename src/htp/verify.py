@@ -47,7 +47,7 @@ from .diffusion import (
     timestep_for_iteration,
 )
 from .macs import macs_attention, macs_linear, mask_support_rows, profile_model
-from .mgptp import FrameTokens, cluster_scores, masked_distance, pool_tokens_and_mask, prune_frames, select_and_prune
+from .mgptp import FrameTokens, cluster_scores, masked_distance, pool_tokens_and_mask, prune_frames, response_density, select_and_prune
 from .synthetic import generate_synthetic
 from .tcep import TcepParams, TemporalAdjacency, chain_adjacency, frame_similarity, mask_similarity, select_topk_mask, tcep_refine
 
@@ -675,7 +675,7 @@ def check_mgptp_invariants(rng):
             return "density left (0, 1]"
         scaled = state.density * 3.7
         resp_a = state.response
-        resp_b = scaled * softmax_row(state.stability)
+        resp_b = response_density(scaled, ft.mask)
         if np.argmax(resp_a) != np.argmax(resp_b):
             return "response argmax changed under positive scaling"
         pruned, indices = select_and_prune(tokens, state, 4)

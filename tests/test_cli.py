@@ -1,4 +1,5 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior, through real subprocesses except where a test
+injects a stage failure or reads a profile in-process."""
 
 import json
 import subprocess
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import htp.denoiser
 from htp import io as htp_io
+from htp.cli import EXIT_STAGE, main
 
 TINY = {
     "joints": 4,
@@ -129,6 +132,16 @@ class TestInfer:
                          "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 3
 
+    def test_failing_stage_exits_1_and_names_it(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("empty support")
+
+        monkeypatch.setattr(htp.denoiser, "tcep_refine", broken)
+        _, obs = generated
+        code = main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_STAGE == 1
+        assert "tcep: empty support" in capsys.readouterr().err
+
     def test_invalid_flag_value_is_config_error(self, tmp_path, tiny_config, generated):
         _, obs = generated
         result = run_cli("infer", "--config", tiny_config, "--in-2d", obs,
@@ -146,6 +159,16 @@ class TestProfile:
         data = json.load(open(json_out))
         assert data["hypotheses"] == 20 and data["iterations"] == 10
         assert data["inference_total"] == data["inference_single_pass"] * 200
+
+    def test_saturated_mask_reported_at_defaults(self, capsys):
+        assert main(["profile"]) == 0
+        assert "temporal mask saturated" in capsys.readouterr().out
+
+    def test_unsaturated_mask_not_reported(self, tmp_path, capsys):
+        path = tmp_path / "long_sparse.json"
+        path.write_text(json.dumps({"frames": 729, "corr_topk": 8}))
+        assert main(["profile", "--config", str(path)]) == 0
+        assert "saturated" not in capsys.readouterr().out
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

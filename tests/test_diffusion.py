@@ -18,7 +18,6 @@ from htp.diffusion import (
     mpjpe,
     predict_eps,
     run_reverse,
-    sample_initial_hypotheses,
     timestep_for_iteration,
 )
 from htp.verify import naive_jpma
@@ -212,13 +211,6 @@ class TestJpma:
         hyps = HypothesisSet(poses=poses, seeds=(0, 1, 2))
         out = jpma_aggregate(hyps, np.zeros((1, 2, 2)), self.CAM)
         assert np.array_equal(out, poses[0])
-
-    def test_child_seeds_reproducible(self):
-        a = sample_initial_hypotheses(3, (2, 4, 3), RngStream(77))
-        b = sample_initial_hypotheses(3, (2, 4, 3), RngStream(77))
-        assert a.seeds == b.seeds
-        assert np.array_equal(a.poses, b.poses)
-        assert not np.array_equal(a.poses[0], a.poses[1])
 
 
 class TestMpjpe:
