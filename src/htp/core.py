@@ -27,28 +27,18 @@ def _check_matmul(x: np.ndarray, w: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: cannot multiply shapes {x.shape} and {w.shape}")
 
 
-def softmax_row(v: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D vector where -inf entries map to exactly 0.
-
-    Raises ValueError("empty support") when no entry is finite.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax_row: expected nonempty vector, got shape {v.shape}")
-    top = np.max(v)
-    if top == NEG_INF:
-        raise ValueError("empty support")
-    e = np.exp(v - top)  # exp(-inf) == 0.0 exactly
-    return e / e.sum()
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise masked softmax along the last axis of an n-D array."""
+    """Masked softmax along the last axis of an n-D array (a 1-D vector is one row).
+
+    -inf entries map to exactly 0; raises ValueError("empty support") when a
+    row has no finite entry.
+    """
     x = np.asarray(x, dtype=np.float64)
     top = np.max(x, axis=-1, keepdims=True)
     if np.any(top == NEG_INF):
         raise ValueError("empty support")
-    e = np.exp(x - top)
+    e = x - top
+    np.exp(e, out=e)  # in place: one full-size temporary fewer; exp(-inf) == 0.0 exactly
     e /= e.sum(axis=-1, keepdims=True)
     return e
 

@@ -8,6 +8,7 @@ equivalence checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,6 +44,10 @@ H36M_EDGES = (
 
 TEMPORAL_GRAPHS = ("chain", "full")
 
+# Values each declared config field type accepts; joint_adjacency is converted instead.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str, "dict": dict,
+                "str | None": (str, type(None))}
+
 INPUT_WIDTH = 5  # 3-D pose concatenated with the 2-D keypoints
 OUTPUT_WIDTH = 3
 
@@ -54,14 +59,11 @@ class StageError(RuntimeError):
 def skeleton_adjacency(joints: int) -> np.ndarray:
     """Default joint graph with self-loops: Human3.6M skeleton for 17 joints,
     a joint chain otherwise."""
+    if joints != 17:
+        return chain_adjacency(joints)
     adj = np.eye(joints)
-    if joints == 17:
-        for a, b in H36M_EDGES:
-            adj[a, b] = adj[b, a] = 1.0
-    else:
-        idx = np.arange(joints - 1)
-        adj[idx, idx + 1] = 1.0
-        adj[idx + 1, idx] = 1.0
+    for a, b in H36M_EDGES:
+        adj[a, b] = adj[b, a] = 1.0
     return adj
 
 
@@ -99,12 +101,23 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.joint_adjacency is not None:
             object.__setattr__(self, "joint_adjacency", np.asarray(self.joint_adjacency, dtype=np.float64))
-        problems = self.problems()
+        problems = self.type_problems() or self.problems()
         if problems:
             raise ValueError("; ".join(problems))
 
+    def type_problems(self) -> list[str]:
+        """One message per field whose value is not of its declared type; only
+        a bool field takes a bool (which Python counts as an int)."""
+        problems = []
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            if allowed and (isinstance(value, bool) != (allowed is bool) or not isinstance(value, allowed)):
+                problems.append(f"{f.name}: must be of type {f.type} (got {value!r})")
+        return problems
+
     def problems(self) -> list[str]:
-        """One message per violated constraint, each naming its field."""
+        """One message per violated constraint, each naming its field; the
+        values must already have their declared types (type_problems)."""
         problems = []
         if self.joints < 1:
             problems.append(f"joints: must be >= 1 (got {self.joints})")
@@ -303,10 +316,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(f"{name}: {exc}") from exc
 
 
-def _refresh_mask(tokens: np.ndarray, top_k: int) -> np.ndarray:
-    return np.stack([select_topk_mask(frame_similarity(tokens[j]), top_k) for j in range(tokens.shape[0])])
-
-
 def denoise_forward(
     noisy_pose: np.ndarray,
     keypoints_2d: np.ndarray,
@@ -335,7 +344,7 @@ def denoise_forward(
         block = params.blocks[i]
         stream = _stage(f"block{i}_spatial", spatial_mhsa, stream, block.spatial_attn, block.spatial_mlp)
         if cfg.recompute_mask_per_block:
-            mask = _stage(f"block{i}_mask", _refresh_mask, stream, cfg.corr_topk)
+            mask = _stage(f"block{i}_mask", lambda: select_topk_mask(frame_similarity(stream), cfg.corr_topk))
             add_mask = to_additive_mask(mask)
         stream = _stage(
             f"block{i}_temporal", attention_block, stream, add_mask, block.temporal_attn, block.temporal_mlp

@@ -23,13 +23,7 @@ class FormatError(ValueError):
 
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack("<Q", d))
-        fh.write(arr.astype("<f8").tobytes())
+    Path(path).write_bytes(_encode_tensor(arr))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -15,18 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, softmax_row
+from .core import NEG_INF, ShapeError, softmax_rows
 
 MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel
 
 
 @dataclass(frozen=True)
 class FrameTokens:
-    """Joint-pooled tokens (F, D), binarized pooled mask, and raw pool averages."""
+    """Joint-pooled tokens (F, D) and the binarized pooled mask (F, F)."""
 
     tokens: np.ndarray
     mask: np.ndarray
-    raw_pool: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,7 @@ def pool_tokens_and_mask(tokens: np.ndarray, mask: np.ndarray, threshold: float)
         raise ShapeError(f"pool_tokens_and_mask: expected 3-D inputs, got {tokens.shape}, {mask.shape}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"pool_tokens_and_mask: threshold must be in (0, 1], got {threshold}")
-    pooled = tokens.mean(axis=0)
-    raw = mask.mean(axis=0)
-    return FrameTokens(tokens=pooled, mask=(raw >= threshold).astype(np.float64), raw_pool=raw)
+    return FrameTokens(tokens=tokens.mean(axis=0), mask=(mask.mean(axis=0) >= threshold).astype(np.float64))
 
 
 def masked_distance(ft: FrameTokens) -> tuple[np.ndarray, float]:
@@ -63,6 +60,7 @@ def masked_distance(ft: FrameTokens) -> tuple[np.ndarray, float]:
     z = ft.tokens
     frames, dim = z.shape
     raw = np.empty((frames, frames))
+    # row by row: a broadcast (F, F, D) difference is 272 MB at F=729, D=64
     for p in range(frames):
         raw[p] = np.sqrt(((z - z[p]) ** 2).sum(axis=1))
     raw /= np.sqrt(dim)
@@ -100,7 +98,7 @@ def response_density(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if density.shape != support.shape:
         raise ShapeError(f"response_density: lengths differ: {density.shape} vs {support.shape}")
     stability = np.where(support > 0, support, NEG_INF)
-    return density * softmax_row(stability)
+    return density * softmax_rows(stability)
 
 
 def separation_distance(dist: np.ndarray, response: np.ndarray) -> np.ndarray:

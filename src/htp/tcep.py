@@ -59,42 +59,44 @@ def fuse_adjacency(base: np.ndarray, learned: np.ndarray) -> np.ndarray:
 
 
 def frame_similarity(tokens: np.ndarray) -> np.ndarray:
-    """Scaled frame-by-frame similarity of one joint's (F, D) token sequence."""
+    """Scaled frame-by-frame similarity: one (F, F) matrix per (F, D) slice of (..., F, D) tokens."""
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ShapeError(f"frame_similarity: expected (F, D), got {tokens.shape}")
-    gram = tokens @ tokens.T / np.sqrt(tokens.shape[1])
+    if tokens.ndim < 2:
+        raise ShapeError(f"frame_similarity: expected (..., F, D), got {tokens.shape}")
+    gram = tokens @ np.swapaxes(tokens, -1, -2) / np.sqrt(tokens.shape[-1])
     # enforce exact symmetry regardless of the BLAS kernel used
-    return (gram + gram.T) / 2.0
+    return (gram + np.swapaxes(gram, -1, -2)) / 2.0
 
 
 def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Binary frame mask: self-loops plus OR-symmetrized per-row top-k selection.
+    """Binary frame masks: self-loops plus OR-symmetrized per-row top-k selection.
 
-    The diagonal is suppressed during selection; ties break toward the lower
-    frame index (stable sort). top_k >= F clamps to F - 1 with a warning.
+    ``scores`` is (..., F, F); every trailing (F, F) matrix is masked on its
+    own. The diagonal is suppressed during selection; ties break toward the
+    lower frame index (stable sort). top_k >= F clamps to F - 1 with one
+    warning per call.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ShapeError(f"select_topk_mask: expected square matrix, got {scores.shape}")
-    frames = scores.shape[0]
+    if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
+        raise ShapeError(f"select_topk_mask: expected (..., F, F) matrices, got {scores.shape}")
+    frames = scores.shape[-1]
     if frames < 2:
-        return np.ones((frames, frames))
+        return np.ones(scores.shape)
     if top_k < 1:
         raise ValueError(f"select_topk_mask: top_k must be >= 1, got {top_k}")
     k = min(top_k, frames - 1)
     if k != top_k:
         log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, k, frames)
 
-    offdiag = scores.copy()
-    np.fill_diagonal(offdiag, NEG_INF)
-    order = np.argsort(-offdiag, axis=1, kind="stable")  # ties: lower index first
-    directed = np.zeros((frames, frames), dtype=bool)
-    rows = np.repeat(np.arange(frames), k)
-    directed[rows, order[:, :k].ravel()] = True
+    diag = np.arange(frames)
+    descending = np.negative(scores)
+    descending[..., diag, diag] = np.inf  # never pick self
+    order = np.argsort(descending, axis=-1, kind="stable")  # ties: lower index first
+    directed = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(directed, order[..., :k], True, axis=-1)
 
-    mask = np.logical_or(directed, directed.T).astype(np.float64)
-    np.fill_diagonal(mask, 1.0)
+    mask = np.logical_or(directed, np.swapaxes(directed, -1, -2)).astype(np.float64)
+    mask[..., diag, diag] = 1.0
     return mask
 
 
@@ -119,17 +121,14 @@ def tcep_refine(
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise ShapeError(f"tcep_refine: expected (J, F, D) tokens, got {tokens.shape}")
-    joints, frames, dim = tokens.shape
+    _, frames, dim = tokens.shape
     if adj.fused.shape != (frames, frames):
         raise ShapeError(f"tcep_refine: adjacency {adj.fused.shape} does not match {frames} frames")
     if params.weight.shape != (dim, dim):
         raise ShapeError(f"tcep_refine: weight {params.weight.shape} does not match feature dim {dim}")
 
-    refined = np.empty_like(tokens)
-    mask = np.empty((joints, frames, frames))
-    for j in range(joints):
-        sim = frame_similarity(tokens[j])
-        mask[j] = select_topk_mask(sim, params.top_k)
-        gated = adj.fused * softmax_rows(mask_similarity(sim, mask[j]))
-        refined[j] = tokens[j] + gelu((gated @ tokens[j]) @ params.weight)
-    return refined, mask
+    sim = frame_similarity(tokens)
+    mask = select_topk_mask(sim, params.top_k)
+    gated = softmax_rows(mask_similarity(sim, mask))
+    gated *= adj.fused
+    return tokens + gelu((gated @ tokens) @ params.weight), mask

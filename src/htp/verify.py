@@ -21,7 +21,7 @@ import numpy as np
 from . import io as htp_io
 from .attention import AttnWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
 from .config import ConfigError, load_config
-from .core import NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_row
+from .core import NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
 from .denoiser import (
     DenoiserConfig,
     denoise_forward,
@@ -304,7 +304,7 @@ def check_softmax_probability_vector(rng):
         if drop.all():
             drop[0] = False
         v = np.where(drop, NEG_INF, v)
-        out = softmax_row(v)
+        out = softmax_rows(v)
         if abs(out.sum() - 1.0) > 1e-12:
             return f"sum off by {out.sum() - 1.0:.2e}"
         if np.any(out < 0):
@@ -315,7 +315,7 @@ def check_softmax_probability_vector(rng):
         if np.max(np.abs(out - expected)) > 1e-12:
             return "disagrees with direct summation"
     try:
-        softmax_row(np.array([NEG_INF, NEG_INF]))
+        softmax_rows(np.array([NEG_INF, NEG_INF]))
         return "all-masked row did not raise"
     except ValueError:
         pass
@@ -475,7 +475,7 @@ def check_masked_similarity_softmax(rng):
         tokens = rng.normal((frames, 4))
         sim = frame_similarity(tokens)
         mask = select_topk_mask(sim, 2)
-        soft = np.stack([softmax_row(row) for row in mask_similarity(sim, mask)])
+        soft = np.stack([softmax_rows(row) for row in mask_similarity(sim, mask)])
         if np.max(np.abs(soft.sum(axis=1) - 1.0)) > 1e-12:
             return "rows do not sum to 1"
         if np.any(soft[mask == 0.0] != 0.0):
@@ -700,15 +700,15 @@ def check_mgptp_examples(rng):
         return "raw 0.5 at threshold 0.6 should binarize to 0"
     # hand distances on the line z = [0, 3, 4]
     z = np.array([[0.0], [3.0], [4.0]])
-    ft = FrameTokens(tokens=z, mask=np.ones((3, 3)), raw_pool=np.ones((3, 3)))
+    ft = FrameTokens(tokens=z, mask=np.ones((3, 3)))
     dist, far = masked_distance(ft)
     if not np.allclose(dist[0], [0, 3, 4]) or dist[1, 2] != 1.0:
         return "hand distances wrong"
-    masked = FrameTokens(tokens=z, mask=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float), raw_pool=np.ones((3, 3)))
+    masked = FrameTokens(tokens=z, mask=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float))
     dist_m, far_m = masked_distance(masked)
     if dist_m[0, 2] != 4.0 + 1e-6 or far_m != 4.0 + 1e-6:
         return "sentinel distance must be max raw distance + 1e-6"
-    same = FrameTokens(tokens=np.zeros((3, 2)), mask=np.ones((3, 3)), raw_pool=np.ones((3, 3)))
+    same = FrameTokens(tokens=np.zeros((3, 2)), mask=np.ones((3, 3)))
     dist_s, far_s = masked_distance(same)
     if far_s != 1e-6 or dist_s.any():
         return "identical tokens should give zero distances and sentinel 1e-6"

@@ -10,7 +10,7 @@ import pytest
 
 import htp.denoiser
 from htp import io as htp_io
-from htp.cli import EXIT_STAGE, main
+from htp.cli import EXIT_CONFIG, EXIT_STAGE, main
 
 TINY = {
     "joints": 4,
@@ -169,6 +169,13 @@ class TestProfile:
         path.write_text(json.dumps({"frames": 729, "corr_topk": 8}))
         assert main(["profile", "--config", str(path)]) == 0
         assert "saturated" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [{"hypotheses": "2"}, {"joints": 17.5}, {"recompute_mask_per_block": "yes"}])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["profile", "--config", str(path)]) == EXIT_CONFIG
+        assert next(iter(bad)) in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -63,6 +63,9 @@ class TestValidation:
             ({"inference_sparse_blocks": 99}, "inference_sparse_blocks"),
             ({"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.0}}, "camera"),
             ({"camera": {"fx": -5.0, "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera"),
+            ({"hypotheses": "2"}, "hypotheses"),
+            ({"joints": 17.5}, "joints"),
+            ({"recompute_mask_per_block": "yes"}, "recompute_mask_per_block"),
         ],
     )
     def test_named_violations(self, overrides, needle):

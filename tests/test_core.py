@@ -5,21 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from htp.core import NEG_INF, RngStream, ShapeError, gaussian, gelu, layer_norm, linear, softmax_row, softmax_rows
+from htp.core import NEG_INF, RngStream, ShapeError, gaussian, gelu, layer_norm, linear, softmax_rows
 from htp.verify import naive_matmul, naive_softmax
 
 
 class TestSoftmax:
     def test_symmetric_pair(self):
-        assert np.array_equal(softmax_row(np.array([0.0, 0.0])), [0.5, 0.5])
+        assert np.array_equal(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_masked_entry_is_exactly_zero(self):
-        out = softmax_row(np.array([0.0, NEG_INF]))
+        out = softmax_rows(np.array([0.0, NEG_INF]))
         assert out[0] == 1.0 and out[1] == 0.0
 
     def test_log_weights(self):
         # oracle: direct evaluation of exp/sum on [ln 1, ln 3]
-        out = softmax_row(np.array([math.log(1.0), math.log(3.0)]))
+        out = softmax_rows(np.array([math.log(1.0), math.log(3.0)]))
         assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_probability_vector_property(self):
@@ -29,26 +29,26 @@ class TestSoftmax:
             v[rng.uniform(0, 1, (6,)) < 0.4] = NEG_INF
             if np.all(v == NEG_INF):
                 v[0] = 0.0
-            out = softmax_row(v)
+            out = softmax_rows(v)
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out >= 0)
             assert np.allclose(out, naive_softmax(list(v)), atol=1e-12)
 
     def test_monotone_order_preserved(self):
-        out = softmax_row(np.array([1.0, 3.0, 2.0]))
+        out = softmax_rows(np.array([1.0, 3.0, 2.0]))
         assert out[0] < out[2] < out[1]
 
     def test_empty_support_raises(self):
         with pytest.raises(ValueError, match="empty support"):
-            softmax_row(np.array([NEG_INF, NEG_INF]))
+            softmax_rows(np.array([NEG_INF, NEG_INF]))
         with pytest.raises(ValueError, match="empty support"):
             softmax_rows(np.array([[0.0, 1.0], [NEG_INF, NEG_INF]]))
 
     def test_rows_variant_matches_row(self):
         x = RngStream(2).normal((3, 5))
         rows = softmax_rows(x)
-        for i in range(3):
-            assert np.array_equal(rows[i], softmax_row(x[i]))
+        for i in range(3):  # a matrix row and the same row alone, bitwise
+            assert np.array_equal(rows[i], softmax_rows(x[i]))
 
 
 class TestGeluLayerNormLinear:

@@ -22,7 +22,7 @@ from htp.verify import _random_binary_mask, naive_prune_indices
 
 def _full_ft(tokens):
     frames = tokens.shape[0]
-    return FrameTokens(tokens=tokens, mask=np.ones((frames, frames)), raw_pool=np.ones((frames, frames)))
+    return FrameTokens(tokens=tokens, mask=np.ones((frames, frames)))
 
 
 class TestPooling:
@@ -66,7 +66,7 @@ class TestMaskedDistance:
 
     def test_sentinel_replaces_masked_pair(self):
         mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
-        ft = FrameTokens(tokens=np.array([[0.0], [3.0], [4.0]]), mask=mask, raw_pool=mask)
+        ft = FrameTokens(tokens=np.array([[0.0], [3.0], [4.0]]), mask=mask)
         dist, far = masked_distance(ft)
         assert far == 4.0 + 1e-6
         assert dist[0, 2] == far and dist[2, 0] == far

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from htp.core import NEG_INF, RngStream
+from htp.core import NEG_INF, RngStream, ShapeError
 from htp.tcep import (
     TcepParams,
     TemporalAdjacency,
@@ -53,6 +53,19 @@ class TestFrameSimilarity:
         tokens = RngStream(2).normal((4, 3))
         assert np.allclose(frame_similarity(3.0 * tokens), 9.0 * frame_similarity(tokens), rtol=1e-15)
 
+    def test_joint_stack_matches_per_joint_bitwise(self):
+        rng = RngStream(23)
+        for frames in (1, 2, 7, 30):
+            tokens = rng.normal((5, frames, 6))
+            stacked = frame_similarity(tokens)
+            assert stacked.shape == (5, frames, frames)
+            for j in range(5):
+                assert np.array_equal(stacked[j], frame_similarity(tokens[j]))
+
+    def test_rejects_vector(self):
+        with pytest.raises(ShapeError):
+            frame_similarity(np.ones(4))
+
 
 class TestSelectTopkMask:
     def test_hand_instance(self):
@@ -72,6 +85,11 @@ class TestSelectTopkMask:
 
     def test_single_frame(self):
         assert np.array_equal(select_topk_mask(np.zeros((1, 1)), 3), np.ones((1, 1)))
+        assert np.array_equal(select_topk_mask(np.zeros((3, 1, 1)), 3), np.ones((3, 1, 1)))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            select_topk_mask(np.zeros((2, 3, 4)), 1)
 
     def test_clamp_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="htp.tcep"):
@@ -79,13 +97,21 @@ class TestSelectTopkMask:
         assert any("clamping" in r.message for r in caplog.records)
 
     def test_matches_stable_sort_oracle(self):
+        # every slice of a (J, F, F) or (2, 2, F, F) stack, and the same slice
+        # alone, against the straight-loop oracle; odd trials have many ties
         rng = RngStream(5)
         for trial in range(40):
             frames = 2 + trial % 9
             top_k = 1 + trial % frames
-            scores = rng.normal((frames, frames))
-            scores = (scores + scores.T) / 2
-            assert np.array_equal(select_topk_mask(scores, top_k), naive_topk_mask(scores.tolist(), top_k))
+            scores = rng.normal(((3,) if trial % 3 else (2, 2)) + (frames, frames))
+            if trial % 2:
+                scores = np.round(scores)
+            scores = (scores + np.swapaxes(scores, -1, -2)) / 2
+            stacked = select_topk_mask(scores, top_k)
+            for index in np.ndindex(scores.shape[:-2]):
+                expected = naive_topk_mask(scores[index].tolist(), top_k)
+                assert np.array_equal(stacked[index], expected)
+                assert np.array_equal(select_topk_mask(scores[index], top_k), expected)
 
     def test_symmetry_diagonal_and_min_support(self):
         rng = RngStream(6)
@@ -165,6 +191,12 @@ class TestTcepRefine:
             soft = softmax_rows(mask_similarity(sim, mask[j]))
             assert np.max(np.abs(soft.sum(axis=1) - 1.0)) < 1e-12
             assert np.all(soft[mask[j] == 0.0] == 0.0)
+
+    def test_clamp_warns_once_per_call(self, caplog):
+        tokens, adj, _ = self._instance(25, joints=4, frames=4)
+        with caplog.at_level(logging.WARNING, logger="htp.tcep"):
+            tcep_refine(tokens, adj, TcepParams(np.zeros((3, 3)), top_k=9))
+        assert sum("clamping" in r.message for r in caplog.records) == 1
 
     def test_mask_stacked_over_joints(self):
         tokens, adj, params = self._instance(22, joints=3, frames=6)
