@@ -9,12 +9,15 @@ derives child streams instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 NEG_INF = float("-inf")
 
 _LN_EPS = 1e-5
+_GELU_CHUNK = 1 << 15  # elements per GELU pass: 256 KiB of float64, so a chunk stays in cache
 _MASK64 = (1 << 64) - 1
 
 
@@ -44,9 +47,24 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU, x * Phi(x). gelu(0) == 0."""
+    """Exact-erf GELU, x * Phi(x). gelu(0) == 0.
+
+    Bitwise equal to 0.5 * x * (1 + erf(x / sqrt(2))): z = 1 + erf(...) lies in
+    {0} or [2**-53, 2], so halving z is exact and x * (0.5 * z) rounds once, as
+    (0.5 * x) * z does (even for |x| near the float64 maximum, where x * z would
+    overflow). The work runs in cache-sized chunks of one output buffer.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    out = np.empty(x.shape)
+    src, dst = x.reshape(-1), out.reshape(-1)  # src copies a non-contiguous x
+    for lo in range(0, src.size, _GELU_CHUNK):
+        xs, o = src[lo : lo + _GELU_CHUNK], dst[lo : lo + _GELU_CHUNK]
+        np.divide(xs, np.sqrt(2.0), out=o)
+        erf(o, out=o)
+        o += 1.0
+        o *= 0.5
+        o *= xs
+    return out
 
 
 def layer_norm(
@@ -63,25 +81,32 @@ def layer_norm(
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    out = (x - mean) / np.sqrt(var + eps)
+    out = x - mean
+    out /= np.sqrt(var + eps)
     if scale is not None:
-        out = out * scale
+        out *= scale
     if shift is not None:
-        out = out + shift
+        out += shift
     return out
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Affine map x @ w + b over the last axis."""
+    """Affine map x @ w + b over the last axis, as one 2-D GEMM.
+
+    A 3-D x @ w would run one GEMM per leading slice; x is flattened to
+    (rows, D) instead, which copies it first when it is not contiguous.
+    """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     _check_matmul(x, w, "linear")
-    out = x @ w
     if b is not None:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (w.shape[1],):
             raise ShapeError(f"linear: bias shape {b.shape} does not match output width {w.shape[1]}")
-        out = out + b
+    lead = x.shape[:-1]
+    out = (x.reshape(math.prod(lead), w.shape[0]) @ w).reshape(*lead, w.shape[1])
+    if b is not None:
+        out += b
     return out
 
 

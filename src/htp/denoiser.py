@@ -99,9 +99,13 @@ class DenoiserConfig:
     joint_adjacency: np.ndarray | None = None
 
     def __post_init__(self):
+        problems = self.type_problems()
         if self.joint_adjacency is not None:
-            object.__setattr__(self, "joint_adjacency", np.asarray(self.joint_adjacency, dtype=np.float64))
-        problems = self.type_problems() or self.problems()
+            try:
+                object.__setattr__(self, "joint_adjacency", np.asarray(self.joint_adjacency, dtype=np.float64))
+            except (ValueError, TypeError) as exc:  # a string, a ragged nesting, a non-number
+                problems.append(f"joint_adjacency: must be a numeric ({self.joints}, {self.joints}) matrix ({exc})")
+        problems = problems or self.problems()
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -284,10 +288,15 @@ def spatial_gcn(tokens: np.ndarray, joint_adj: np.ndarray, w: np.ndarray) -> np.
 
 
 def spatial_mhsa(tokens: np.ndarray, attn: AttnWeights, mlp: MlpWeights) -> np.ndarray:
-    """Dense attention + MLP over the joint axis, independently per frame."""
-    per_frame = np.swapaxes(tokens, 0, 1)  # (F, J, D)
+    """Dense attention + MLP over the joint axis, independently per frame.
+
+    The block runs on a contiguous (F, J, D) copy and returns a contiguous
+    (J, F, D) result, so no projection reads a strided view.
+    """
+    per_frame = np.ascontiguousarray(np.swapaxes(tokens, 0, 1))
     out = attention_block(per_frame, None, attn, mlp)
-    return np.swapaxes(out, 0, 1)
+    del per_frame  # free the input copy before the output copy is made
+    return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
 
 def timestep_features(t: int, dim: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from . import io as htp_io
 from .attention import AttnWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
 from .config import ConfigError, load_config
-from .core import NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
+from .core import _GELU_CHUNK, NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
 from .denoiser import (
     DenoiserConfig,
     denoise_forward,
@@ -349,6 +349,10 @@ def check_gelu_layer_norm(rng):
     flat = layer_norm(np.ones((1, 3)))
     if np.max(np.abs(flat)) > 1e-2:
         return "constant row not driven to ~0"
+    long = rng.normal((2 * _GELU_CHUNK + 5,)) * 3.0  # crosses two chunk boundaries
+    ref = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in long.tolist()])
+    if np.max(np.abs(gelu(long) - ref)) > 1e-12:
+        return "gelu across chunk boundaries departs from math.erf by more than 1e-12"
     return ""
 
 

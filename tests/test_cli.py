@@ -170,7 +170,9 @@ class TestProfile:
         assert main(["profile", "--config", str(path)]) == 0
         assert "saturated" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad", [{"hypotheses": "2"}, {"joints": 17.5}, {"recompute_mask_per_block": "yes"}])
+    @pytest.mark.parametrize(
+        "bad", [{"hypotheses": "2"}, {"joints": 17.5}, {"recompute_mask_per_block": "yes"}, {"joint_adjacency": "abc"}]
+    )
     def test_wrong_json_type_is_config_error(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))

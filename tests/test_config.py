@@ -66,6 +66,8 @@ class TestValidation:
             ({"hypotheses": "2"}, "hypotheses"),
             ({"joints": 17.5}, "joints"),
             ({"recompute_mask_per_block": "yes"}, "recompute_mask_per_block"),
+            ({"joint_adjacency": "abc"}, "joint_adjacency: must be a numeric"),
+            ({"joint_adjacency": [[1.0, 0.0], [0.0]]}, "joint_adjacency: must be a numeric"),
         ],
     )
     def test_named_violations(self, overrides, needle):

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from htp.core import NEG_INF, RngStream, ShapeError, gaussian, gelu, layer_norm, linear, softmax_rows
+from htp.core import _GELU_CHUNK, NEG_INF, RngStream, ShapeError, gaussian, gelu, layer_norm, linear, softmax_rows
 from htp.verify import naive_matmul, naive_softmax
 
 
@@ -84,6 +85,82 @@ class TestGeluLayerNormLinear:
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             linear(np.ones((2, 3)), np.ones((4, 2)))
+
+
+# Plain formulas, kept as oracles: the in-place kernels must equal them bitwise.
+def gelu_formula(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def layer_norm_formula(x, scale=None, shift=None, eps=1e-5):
+    out = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    if scale is not None:
+        out = out * scale
+    if shift is not None:
+        out = out + shift
+    return out
+
+
+class TestRewrittenKernels:
+    @pytest.mark.parametrize("size", [1, _GELU_CHUNK - 1, _GELU_CHUNK, _GELU_CHUNK + 1, 3 * _GELU_CHUNK + 7])
+    def test_gelu_bitwise_equals_formula(self, size):
+        rng = RngStream(size)
+        x = rng.normal((size,)) * 4.0
+        assert np.array_equal(gelu(x), gelu_formula(x))
+        swapped = np.swapaxes(rng.normal((size, 3)) * 4.0, 0, 1)  # strided view of 3 * size elements
+        assert swapped.flags.c_contiguous == (size == 1)
+        out = gelu(swapped)
+        assert out.shape == swapped.shape and np.array_equal(out, gelu_formula(swapped))
+
+    def test_gelu_bitwise_at_extremes(self):
+        # subnormal x (0.5 * x rounds), |x| near the float64 maximum (x * z would overflow),
+        # large negative x (z == 0 exactly), signed zeros and infinities
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
+        x = np.array([tiny, -tiny, 3 * tiny, 2.0**-1022, huge, -huge, huge / 3, -40.0, -8.2, 0.0, -0.0,
+                      np.inf, 1e-300, -1e-17, 37.5])
+        assert np.array_equal(gelu(x), gelu_formula(x))
+        assert np.signbit(gelu(np.array([-0.0]))[0]) == np.signbit(gelu_formula(np.array([-0.0]))[0])
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            assert np.isnan(gelu(np.array([-np.inf, np.nan]))).all()
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_layer_norm_bitwise_equals_formula(self, affine):
+        rng = RngStream(11)
+        x = rng.normal((5, 7, 24)) * 3.0 + 1.0
+        scale, shift = (rng.normal((24,)), rng.normal((24,))) if affine else (None, None)
+        for arr in (x, np.swapaxes(x, 0, 1)):
+            assert np.array_equal(layer_norm(arr, scale, shift), layer_norm_formula(arr, scale, shift))
+        assert np.array_equal(layer_norm(x, scale), layer_norm_formula(x, scale))
+
+    @pytest.mark.parametrize("shape", [(24,), (9, 24), (4, 9, 24), "swapped"])
+    def test_linear_matches_matmul(self, shape):
+        rng = RngStream(12)
+        w, b = rng.normal((24, 10)), rng.normal((10,))
+        x = np.swapaxes(rng.normal((9, 4, 24)), 0, 1) if shape == "swapped" else rng.normal(shape)
+        for bias in (None, b):
+            ref = x @ w if bias is None else x @ w + bias
+            out = linear(x, w, bias)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_linear_empty_operands(self):
+        assert linear(np.ones((2, 0)), np.ones((0, 3))).shape == (2, 3)
+        assert linear(np.ones((0, 4, 5)), np.ones((5, 3)), np.ones(3)).shape == (0, 4, 3)
+
+    def test_no_kernel_writes_into_its_input(self):
+        rng = RngStream(13)
+        x, w, b = rng.normal((3, 4, 8)), rng.normal((8, 8)), rng.normal((8,))
+        scale, shift = rng.normal((8,)), rng.normal((8,))
+        calls = [
+            lambda a: gelu(a),
+            lambda a: layer_norm(a, scale, shift),
+            lambda a: linear(a, w, b),
+        ]
+        for call in calls:
+            for arr in (x, np.swapaxes(x, 0, 1)):
+                before = arr.copy()
+                call(arr)
+                assert np.array_equal(arr, before)
 
 
 class TestRng:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from htp.attention import attention_block
 from htp.core import RngStream, gaussian, gelu, linear
 from htp.denoiser import (
     DenoiserConfig,
@@ -126,7 +127,11 @@ class TestSpatialStages:
         cfg = small_cfg()
         params = init_params(cfg, 1)
         tokens = RngStream(7).normal((4, 10, 16))
-        assert spatial_mhsa(tokens, params.entry_attn, params.entry_mlp).shape == tokens.shape
+        out = spatial_mhsa(tokens, params.entry_attn, params.entry_mlp)
+        assert out.shape == tokens.shape and out.flags.c_contiguous
+        # oracle: the block over the joint axis of a strided per-frame view
+        ref = np.swapaxes(attention_block(np.swapaxes(tokens, 0, 1), None, params.entry_attn, params.entry_mlp), 0, 1)
+        assert np.max(np.abs(out - ref)) < 1e-12
 
 
 class TestTimestepEmbedding:
