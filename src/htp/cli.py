@@ -24,7 +24,6 @@ from .denoiser import (
     save_denoiser_params,
 )
 from .diffusion import (
-    HypothesisSet,
     build_schedule,
     ddim_step,
     jpma_aggregate,
@@ -151,10 +150,8 @@ def _cmd_infer(args) -> int:
     shape = (cfg.joints, cfg.frames, 3)
     started = time.perf_counter()
     finals = []
-    seeds = []
     for h in range(cfg.hypotheses):
         stream = root.child(1 + h)
-        seeds.append(stream.seed)
         current = gaussian(stream, shape)
         t = cfg.timesteps
         for k in range(1, cfg.iterations + 1):
@@ -166,8 +163,7 @@ def _cmd_infer(args) -> int:
         finals.append(current)
     elapsed = time.perf_counter() - started
 
-    hyps = HypothesisSet(poses=np.stack(finals), seeds=tuple(seeds))
-    final = jpma_aggregate(hyps, keypoints, cfg.camera_model())
+    final = jpma_aggregate(np.stack(finals), keypoints, cfg.camera_model())
     htp_io.write_pose_csv(out_path, final)
     print(f"infer: wrote {out_path} (H={cfg.hypotheses}, K={cfg.iterations}, seed={cfg.seed})")
 

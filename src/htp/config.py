@@ -34,8 +34,8 @@ class RunConfig(DenoiserConfig):
     ddim_eta: float = 1.0
     schedule: str = "linear"
     seed: int = 0
-    # profiling
-    inference_sparse_blocks: int = 2
+    # profiling; None lets macs.profile_model use min(2, blocks)
+    inference_sparse_blocks: int | None = None
     # camera and paths
     camera: dict = field(default_factory=lambda: dict(DEFAULT_CAMERA))
     input_2d: str | None = None
@@ -60,7 +60,7 @@ class RunConfig(DenoiserConfig):
             problems.append(f"ddim_eta: must be in [0, 1] (got {self.ddim_eta})")
         if self.schedule not in SCHEDULE_KINDS:
             problems.append(f"schedule: must be one of {SCHEDULE_KINDS} (got {self.schedule!r})")
-        if not 0 <= self.inference_sparse_blocks <= self.blocks:
+        if self.inference_sparse_blocks is not None and not 0 <= self.inference_sparse_blocks <= self.blocks:
             problems.append(
                 f"inference_sparse_blocks: must be in [0, blocks={self.blocks}] "
                 f"(got {self.inference_sparse_blocks})"

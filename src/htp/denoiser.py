@@ -25,10 +25,9 @@ from .attention import (
 from .core import RngStream, ShapeError, gelu, linear
 from .mgptp import prune_frames
 from .tcep import (
-    TcepParams,
-    TemporalAdjacency,
     chain_adjacency,
     frame_similarity,
+    fuse_adjacency,
     select_topk_mask,
     tcep_refine,
 )
@@ -46,7 +45,7 @@ TEMPORAL_GRAPHS = ("chain", "full")
 
 # Values each declared config field type accepts; joint_adjacency is converted instead.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str, "dict": dict,
-                "str | None": (str, type(None))}
+                "str | None": (str, type(None)), "int | None": (numbers.Integral, type(None))}
 
 INPUT_WIDTH = 5  # 3-D pose concatenated with the 2-D keypoints
 OUTPUT_WIDTH = 3
@@ -343,8 +342,8 @@ def denoise_forward(
     stream = stream + params.spatial_pos[:, None, :]
     stream = _stage("entry_spatial_mhsa", spatial_mhsa, stream, params.entry_attn, params.entry_mlp)
 
-    adj = TemporalAdjacency(base=cfg.temporal_base(), learned=params.adj_learned)
-    stream, mask = _stage("tcep", tcep_refine, stream, adj, TcepParams(params.tcep_w, cfg.corr_topk))
+    fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
+    stream, mask = _stage("tcep", tcep_refine, stream, fused, params.tcep_w, cfg.corr_topk)
     stream = stream + params.temporal_pos[None, :, :]
     stream = stream + _stage("timestep_embedding", timestep_embedding, t, params)
 
@@ -360,7 +359,7 @@ def denoise_forward(
         )
 
     skip = stream  # full-length stream feeding the cross-attention queries
-    condensed, indices, _state = _stage(
+    condensed, indices = _stage(
         "mgptp", prune_frames, stream, mask, cfg.pool_threshold, cfg.knn_k, cfg.keep_frames
     )
     for i in range(cfg.sparse_blocks, cfg.blocks):
@@ -393,9 +392,9 @@ def dense_reference_forward(
     stream = stream + params.spatial_pos[:, None, :]
     stream = spatial_mhsa(stream, params.entry_attn, params.entry_mlp)
 
-    adj = TemporalAdjacency(base=cfg.temporal_base(), learned=params.adj_learned)
+    fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
     full_mask = np.ones((cfg.joints, cfg.frames, cfg.frames))
-    stream, _ = tcep_refine(stream, adj, TcepParams(params.tcep_w, cfg.frames - 1 if cfg.frames > 1 else 1))
+    stream, _ = tcep_refine(stream, fused, params.tcep_w, cfg.frames - 1 if cfg.frames > 1 else 1)
     stream = stream + params.temporal_pos[None, :, :]
     stream = stream + timestep_embedding(t, params)
 

@@ -178,24 +178,14 @@ class CameraModel:
         return np.stack([u, v], axis=-1)
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
-    """Candidate 3-D pose sequences (H, J, F, 3) with their child seeds."""
-
-    poses: np.ndarray
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.poses.ndim != 4 or self.poses.shape[0] < 1:
-            raise ShapeError(f"HypothesisSet: expected (H, J, F, 3) with H >= 1, got {self.poses.shape}")
-
-
-def jpma_aggregate(hyps: HypothesisSet, keypoints_2d: np.ndarray, camera: CameraModel) -> np.ndarray:
-    """Per joint and frame, keep the hypothesis whose reprojection best
-    matches the 2-D input; hypotheses behind the camera are disqualified
-    and a fully-disqualified position falls back to hypothesis 0.
+def jpma_aggregate(poses: np.ndarray, keypoints_2d: np.ndarray, camera: CameraModel) -> np.ndarray:
+    """Per joint and frame, keep the one of the (H, J, F, 3) hypotheses whose
+    reprojection best matches the 2-D input; hypotheses behind the camera are
+    disqualified and a fully-disqualified position falls back to hypothesis 0.
     """
-    poses = hyps.poses  # (H, J, F, 3)
+    poses = np.asarray(poses, dtype=np.float64)
+    if poses.ndim != 4 or poses.shape[0] < 1:
+        raise ShapeError(f"jpma_aggregate: expected (H, J, F, 3) hypotheses with H >= 1, got {poses.shape}")
     keypoints_2d = np.asarray(keypoints_2d, dtype=np.float64)
     if keypoints_2d.shape != poses.shape[1:3] + (2,):
         raise ShapeError(

@@ -27,21 +27,18 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return _decode_tensor(raw, str(path))
+    return _decode_tensor(Path(path).read_bytes(), str(path))
 
 
 def _decode_tensor(raw: bytes, name: str) -> np.ndarray:
     if raw[:4] != MAGIC:
         raise FormatError(f"{name}: bad magic, expected {MAGIC!r}")
-    (rank,) = struct.unpack_from("<I", raw, 4)
-    off = 8
-    dims = []
-    for _ in range(rank):
-        (d,) = struct.unpack_from("<Q", raw, off)
-        dims.append(int(d))
-        off += 8
+    try:
+        (rank,) = struct.unpack_from("<I", raw, 4)
+        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 8)]
+    except struct.error:
+        raise FormatError(f"{name}: truncated header") from None
+    off = 8 + 8 * rank
     count = int(np.prod(dims)) if dims else 1
     payload = raw[off:]
     if len(payload) != count * 8:
@@ -75,7 +72,7 @@ def write_pose_csv(path: str | Path, pose: np.ndarray) -> None:
 
 
 def read_pose_csv(path: str | Path) -> np.ndarray:
-    """Read a pose CSV back into a (J, F, C) tensor; validates density."""
+    """Read a pose CSV back into a (J, F, C) tensor; validates every row and the density."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -87,18 +84,29 @@ def read_pose_csv(path: str | Path) -> np.ndarray:
     body = rows[1:]
     if not body:
         raise FormatError(f"{path}: no data rows")
-    frames = max(int(r[0]) for r in body) + 1
-    joints = max(int(r[1]) for r in body) + 1
+    frame_idx, joint_idx, values = [], [], []
+    for line, r in enumerate(body, start=2):
+        try:
+            if len(r) != len(header):
+                raise ValueError(f"{len(r)} fields, header has {len(header)}")
+            f, j = int(r[0]), int(r[1])
+            if f < 0 or j < 0:
+                raise ValueError(f"negative index ({f}, {j})")
+            frame_idx.append(f)
+            joint_idx.append(j)
+            values.extend(map(float, r[2:]))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {line}: {exc}") from None
+    frames, joints = max(frame_idx) + 1, max(joint_idx) + 1
     if len(body) != frames * joints:
         raise FormatError(f"{path}: {len(body)} rows, expected dense {joints}x{frames}")
+    coords = np.array(values).reshape(len(body), width)
+    if not np.isfinite(coords).all():
+        raise FormatError(f"{path}: non-finite coordinates")
     out = np.full((joints, frames, width), np.nan)
-    for r in body:
-        f, j = int(r[0]), int(r[1])
-        out[j, f] = [float(v) for v in r[2 : 2 + width]]
+    out[joint_idx, frame_idx] = coords
     if np.isnan(out).any():
         raise FormatError(f"{path}: missing (frame, joint) entries")
-    if not np.isfinite(out).all():
-        raise FormatError(f"{path}: non-finite coordinates")
     return out
 
 
@@ -115,14 +123,13 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    with zipfile.ZipFile(path, "r") as zf:
-        try:
+    """Load the named tensors of a checkpoint; malformed content raises FormatError."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
-        except KeyError:
-            raise FormatError(f"{path}: missing manifest.json") from None
-        if manifest.get("format") != "HTP1":
-            raise FormatError(f"{path}: unknown checkpoint format {manifest.get('format')!r}")
-        out = {}
-        for name, entry in manifest["tensors"].items():
-            out[name] = _decode_tensor(zf.read(entry), f"{path}:{entry}")
-    return out
+            if manifest.get("format") != "HTP1":
+                raise FormatError(f"unknown checkpoint format {manifest.get('format')!r}")
+            return {name: _decode_tensor(zf.read(entry), entry) for name, entry in manifest["tensors"].items()}
+    except (zipfile.BadZipFile, KeyError, ValueError, AttributeError) as exc:
+        # a non-zip file, an absent entry or manifest key, bad JSON or a bad tensor
+        raise FormatError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None

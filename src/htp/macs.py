@@ -170,9 +170,9 @@ def profile_model(
     """Walk the pipeline analytically and assemble the cost report.
 
     The training-style single pass uses cfg.sparse_blocks; inference totals
-    use ``inference_sparse_blocks`` (default 2, the deployment setting) and
-    scale exactly by hypotheses * iterations. The dense baseline re-walks the
-    same stages with full-length blocks and a saturated mask.
+    use ``inference_sparse_blocks`` (default min(2, blocks), the deployment
+    setting) and scale exactly by hypotheses * iterations. The dense baseline
+    re-walks the same stages with full-length blocks and a saturated mask.
     """
     if hypotheses < 1 or iterations < 1:
         raise ValueError("profile_model: hypotheses and iterations must be >= 1")

@@ -21,14 +21,6 @@ MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel
 
 
 @dataclass(frozen=True)
-class FrameTokens:
-    """Joint-pooled tokens (F, D) and the binarized pooled mask (F, F)."""
-
-    tokens: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusterState:
     """Intermediate clustering quantities for one frame sequence."""
 
@@ -37,8 +29,11 @@ class ClusterState:
     separation: np.ndarray # (F,) distance to the nearest denser frame
 
 
-def pool_tokens_and_mask(tokens: np.ndarray, mask: np.ndarray, threshold: float) -> FrameTokens:
-    """Average tokens and mask over the joint axis; binarize the pooled mask.
+def pool_tokens_and_mask(
+    tokens: np.ndarray, mask: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average (J, F, D) tokens and (J, F, F) masks over the joint axis into
+    (F, D) tokens and a binarized (F, F) mask.
 
     threshold is in (0, 1]; a pooled entry becomes 1 iff its average >= threshold.
     The diagonal stays 1 because every per-joint mask carries self-loops.
@@ -49,15 +44,15 @@ def pool_tokens_and_mask(tokens: np.ndarray, mask: np.ndarray, threshold: float)
         raise ShapeError(f"pool_tokens_and_mask: expected 3-D inputs, got {tokens.shape}, {mask.shape}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"pool_tokens_and_mask: threshold must be in (0, 1], got {threshold}")
-    return FrameTokens(tokens=tokens.mean(axis=0), mask=(mask.mean(axis=0) >= threshold).astype(np.float64))
+    return tokens.mean(axis=0), (mask.mean(axis=0) >= threshold).astype(np.float64)
 
 
-def masked_distance(ft: FrameTokens) -> tuple[np.ndarray, float]:
-    """Scaled pairwise Euclidean distances with masked-out pairs at a sentinel.
+def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scaled pairwise Euclidean distances between the rows of (F, D) pooled
+    tokens, with pairs outside the (F, F) pooled mask at a sentinel.
 
     The sentinel strictly exceeds every raw pairwise distance.
     """
-    z = ft.tokens
     frames, dim = z.shape
     raw = np.empty((frames, frames))
     # row by row: a broadcast (F, F, D) difference is 272 MB at F=729, D=64
@@ -65,7 +60,7 @@ def masked_distance(ft: FrameTokens) -> tuple[np.ndarray, float]:
         raw[p] = np.sqrt(((z - z[p]) ** 2).sum(axis=1))
     raw /= np.sqrt(dim)
     far = float(raw.max()) + MASK_MARGIN
-    dist = np.where(ft.mask == 1.0, raw, far)
+    dist = np.where(mask == 1.0, raw, far)
     return dist, far
 
 
@@ -121,11 +116,11 @@ def separation_distance(dist: np.ndarray, response: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_scores(ft: FrameTokens, k: int) -> ClusterState:
-    """Run the full clustering chain on pooled frame tokens."""
-    dist, _ = masked_distance(ft)
-    density = knn_density(dist, k) if ft.tokens.shape[0] >= 2 else np.ones(1)
-    response = response_density(density, ft.mask)
+def cluster_scores(z: np.ndarray, mask: np.ndarray, k: int) -> ClusterState:
+    """Run the full clustering chain on pooled frame tokens and mask."""
+    dist, _ = masked_distance(z, mask)
+    density = knn_density(dist, k) if z.shape[0] >= 2 else np.ones(1)
+    response = response_density(density, mask)
     separation = separation_distance(dist, response)
     return ClusterState(density=density, response=response, separation=separation)
 
@@ -148,9 +143,7 @@ def select_and_prune(tokens: np.ndarray, state: ClusterState, keep: int) -> tupl
 
 def prune_frames(
     tokens: np.ndarray, mask: np.ndarray, threshold: float, k: int, keep: int
-) -> tuple[np.ndarray, np.ndarray, ClusterState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pipeline convenience: pool, cluster, and slice in one call."""
-    ft = pool_tokens_and_mask(tokens, mask, threshold)
-    state = cluster_scores(ft, k)
-    pruned, indices = select_and_prune(tokens, state, keep)
-    return pruned, indices, state
+    state = cluster_scores(*pool_tokens_and_mask(tokens, mask, threshold), k)
+    return select_and_prune(tokens, state, keep)

@@ -10,33 +10,12 @@ temporal adjacency to refine the tokens in place of dense temporal mixing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import NEG_INF, ShapeError, gelu, softmax_rows
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TcepParams:
-    """Shared refinement projection (D x D) and per-row neighbor budget."""
-
-    weight: np.ndarray
-    top_k: int
-
-
-@dataclass(frozen=True)
-class TemporalAdjacency:
-    """Base temporal graph, learnable overlay, and their symmetric fusion."""
-
-    base: np.ndarray
-    learned: np.ndarray
-    fused: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fused", fuse_adjacency(self.base, self.learned))
 
 
 def chain_adjacency(n: int) -> np.ndarray:
@@ -110,25 +89,25 @@ def mask_similarity(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def tcep_refine(
-    tokens: np.ndarray, adj: TemporalAdjacency, params: TcepParams
+    tokens: np.ndarray, fused: np.ndarray, weight: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine (J, F, D) tokens and emit the per-joint binary temporal mask.
 
     For each joint: gate the softmax of the masked similarity with the fused
-    adjacency, mix frames through it, project with the shared weight, and add
-    the GELU of the update back onto the input tokens.
+    (F, F) adjacency, mix frames through it, project with the shared (D, D)
+    weight, and add the GELU of the update back onto the input tokens.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise ShapeError(f"tcep_refine: expected (J, F, D) tokens, got {tokens.shape}")
     _, frames, dim = tokens.shape
-    if adj.fused.shape != (frames, frames):
-        raise ShapeError(f"tcep_refine: adjacency {adj.fused.shape} does not match {frames} frames")
-    if params.weight.shape != (dim, dim):
-        raise ShapeError(f"tcep_refine: weight {params.weight.shape} does not match feature dim {dim}")
+    if np.shape(fused) != (frames, frames):
+        raise ShapeError(f"tcep_refine: adjacency {np.shape(fused)} does not match {frames} frames")
+    if np.shape(weight) != (dim, dim):
+        raise ShapeError(f"tcep_refine: weight {np.shape(weight)} does not match feature dim {dim}")
 
     sim = frame_similarity(tokens)
-    mask = select_topk_mask(sim, params.top_k)
+    mask = select_topk_mask(sim, top_k)
     gated = softmax_rows(mask_similarity(sim, mask))
-    gated *= adj.fused
-    return tokens + gelu((gated @ tokens) @ params.weight), mask
+    gated *= fused
+    return tokens + gelu((gated @ tokens) @ weight), mask

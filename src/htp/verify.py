@@ -36,7 +36,6 @@ from .denoiser import (
 from .diffusion import (
     CameraModel,
     DiffusionSchedule,
-    HypothesisSet,
     build_schedule,
     ddim_sigma,
     forward_diffuse,
@@ -47,9 +46,9 @@ from .diffusion import (
     timestep_for_iteration,
 )
 from .macs import macs_attention, macs_linear, mask_support_rows, profile_model
-from .mgptp import FrameTokens, cluster_scores, masked_distance, pool_tokens_and_mask, prune_frames, response_density, select_and_prune
+from .mgptp import cluster_scores, masked_distance, pool_tokens_and_mask, prune_frames, response_density, select_and_prune
 from .synthetic import generate_synthetic
-from .tcep import TcepParams, TemporalAdjacency, chain_adjacency, frame_similarity, mask_similarity, select_topk_mask, tcep_refine
+from .tcep import chain_adjacency, frame_similarity, fuse_adjacency, mask_similarity, select_topk_mask, tcep_refine
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +492,20 @@ def check_tcep_refine_matches_naive(rng):
     for _ in range(10):
         joints, frames, dim = 2, int(rng.uniform(3, 7, ())), 3
         tokens = rng.normal((joints, frames, dim))
-        adj = TemporalAdjacency(base=chain_adjacency(frames), learned=0.3 * rng.normal((frames, frames)))
-        params = TcepParams(weight=rng.normal((dim, dim)), top_k=2)
-        fast_tokens, fast_mask = tcep_refine(tokens, adj, params)
-        slow_tokens, slow_mask = naive_tcep_refine(tokens, adj.fused, params.weight, params.top_k)
+        fused = fuse_adjacency(chain_adjacency(frames), 0.3 * rng.normal((frames, frames)))
+        weight = rng.normal((dim, dim))
+        fast_tokens, fast_mask = tcep_refine(tokens, fused, weight, 2)
+        slow_tokens, slow_mask = naive_tcep_refine(tokens, fused, weight, 2)
         if not np.array_equal(fast_mask, slow_mask):
             return "masks differ from naive oracle"
         if np.max(np.abs(fast_tokens - slow_tokens)) > 1e-12:
             return "refined tokens differ from naive oracle"
     # zero-update branches
     tokens = rng.normal((1, 4, 3))
-    adj = TemporalAdjacency(base=chain_adjacency(4), learned=np.zeros((4, 4)))
-    zero_w, _ = tcep_refine(tokens, adj, TcepParams(np.zeros((3, 3)), 2))
+    zero_w, _ = tcep_refine(tokens, chain_adjacency(4), np.zeros((3, 3)), 2)
     if not np.array_equal(zero_w, tokens):
         return "zero projection did not reduce to the residual"
-    null_adj = TemporalAdjacency(base=np.zeros((4, 4)), learned=np.zeros((4, 4)))
-    zero_a, _ = tcep_refine(tokens, null_adj, TcepParams(rng.normal((3, 3)), 2))
+    zero_a, _ = tcep_refine(tokens, np.zeros((4, 4)), rng.normal((3, 3)), 2)
     if not np.array_equal(zero_a, tokens):
         return "zero adjacency did not reduce to the residual"
     return ""
@@ -516,11 +513,11 @@ def check_tcep_refine_matches_naive(rng):
 
 def check_tcep_permutation_equivariance(rng):
     tokens = rng.normal((4, 6, 3))
-    adj = TemporalAdjacency(base=chain_adjacency(6), learned=0.2 * rng.normal((6, 6)))
-    params = TcepParams(weight=rng.normal((3, 3)), top_k=2)
-    refined, mask = tcep_refine(tokens, adj, params)
+    fused = fuse_adjacency(chain_adjacency(6), 0.2 * rng.normal((6, 6)))
+    weight = rng.normal((3, 3))
+    refined, mask = tcep_refine(tokens, fused, weight, 2)
     perm = np.array([2, 0, 3, 1])
-    refined_p, mask_p = tcep_refine(tokens[perm], adj, params)
+    refined_p, mask_p = tcep_refine(tokens[perm], fused, weight, 2)
     if not np.array_equal(refined_p, refined[perm]) or not np.array_equal(mask_p, mask[perm]):
         return "joint permutation does not commute"
     return ""
@@ -653,7 +650,7 @@ def check_mgptp_oracle_500(rng):
         threshold = (0.25, 0.5, 0.75, 1.0)[trial % 4]
         tokens = rng.normal((joints, frames, dim))
         mask = _random_binary_mask(rng, joints, frames)
-        _, indices, _ = prune_frames(tokens, mask, threshold, k, keep)
+        _, indices = prune_frames(tokens, mask, threshold, k, keep)
         expected = naive_prune_indices(tokens, mask, threshold, k, keep)
         if list(indices) != expected:
             return f"trial {trial}: {list(indices)} != {expected}"
@@ -665,21 +662,21 @@ def check_mgptp_invariants(rng):
         joints, frames, dim = 2, 9, 3
         tokens = rng.normal((joints, frames, dim))
         mask = _random_binary_mask(rng, joints, frames)
-        ft = pool_tokens_and_mask(tokens, mask, 0.5)
-        dist, far = masked_distance(ft)
+        z, pooled = pool_tokens_and_mask(tokens, mask, 0.5)
+        dist, far = masked_distance(z, pooled)
         if not np.array_equal(dist, dist.T) or np.any(np.diag(dist) != 0.0):
             return "distances not symmetric with zero diagonal"
-        valid = ft.mask == 1.0
+        valid = pooled == 1.0
         off = ~np.eye(frames, dtype=bool)
         if (~valid & off).any() and valid.any():
             if dist[~valid & off].min() <= dist[valid & off].max():
                 return "masked pair not strictly farther than every valid pair"
-        state = cluster_scores(ft, 3)
+        state = cluster_scores(z, pooled, 3)
         if np.any(state.density <= 0.0) or np.any(state.density > 1.0):
             return "density left (0, 1]"
         scaled = state.density * 3.7
         resp_a = state.response
-        resp_b = response_density(scaled, ft.mask)
+        resp_b = response_density(scaled, pooled)
         if np.argmax(resp_a) != np.argmax(resp_b):
             return "response argmax changed under positive scaling"
         pruned, indices = select_and_prune(tokens, state, 4)
@@ -687,7 +684,7 @@ def check_mgptp_invariants(rng):
             return "indices not strictly increasing"
         if not np.array_equal(pruned, tokens[:, indices, :]):
             return "slice does not preserve token values bitwise"
-        _, again = select_and_prune(tokens, cluster_scores(ft, 3), 4)
+        _, again = select_and_prune(tokens, cluster_scores(z, pooled, 3), 4)
         if not np.array_equal(indices, again):
             return "selection not deterministic"
     return ""
@@ -698,22 +695,19 @@ def check_mgptp_examples(rng):
     mask = np.ones((2, 2, 2))
     mask[1, 0, 1] = mask[1, 1, 0] = 0.0
     tokens = rng.normal((2, 2, 3))
-    if pool_tokens_and_mask(tokens, mask, 0.5).mask[0, 1] != 1.0:
+    if pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1] != 1.0:
         return "raw 0.5 at threshold 0.5 should binarize to 1"
-    if pool_tokens_and_mask(tokens, mask, 0.6).mask[0, 1] != 0.0:
+    if pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1] != 0.0:
         return "raw 0.5 at threshold 0.6 should binarize to 0"
     # hand distances on the line z = [0, 3, 4]
     z = np.array([[0.0], [3.0], [4.0]])
-    ft = FrameTokens(tokens=z, mask=np.ones((3, 3)))
-    dist, far = masked_distance(ft)
+    dist, far = masked_distance(z, np.ones((3, 3)))
     if not np.allclose(dist[0], [0, 3, 4]) or dist[1, 2] != 1.0:
         return "hand distances wrong"
-    masked = FrameTokens(tokens=z, mask=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float))
-    dist_m, far_m = masked_distance(masked)
+    dist_m, far_m = masked_distance(z, np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float))
     if dist_m[0, 2] != 4.0 + 1e-6 or far_m != 4.0 + 1e-6:
         return "sentinel distance must be max raw distance + 1e-6"
-    same = FrameTokens(tokens=np.zeros((3, 2)), mask=np.ones((3, 3)))
-    dist_s, far_s = masked_distance(same)
+    dist_s, far_s = masked_distance(np.zeros((3, 2)), np.ones((3, 3)))
     if far_s != 1e-6 or dist_s.any():
         return "identical tokens should give zero distances and sentinel 1e-6"
     # kNN density at k=1 on the same line
@@ -740,12 +734,12 @@ def check_mgptp_examples(rng):
         return "tie rule should treat lower index as denser"
     # frame-constant tokens keep the first frames
     const = np.zeros((2, 6, 3))
-    _, indices, _ = prune_frames(const, np.ones((2, 6, 6)), 0.5, 2, 3)
+    _, indices = prune_frames(const, np.ones((2, 6, 6)), 0.5, 2, 3)
     if list(indices) != [0, 1, 2]:
         return "all-tied saliency should keep the first frames"
     # identity prune
     tokens = rng.normal((2, 5, 3))
-    pruned, indices, _ = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
+    pruned, indices = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
     if list(indices) != [0, 1, 2, 3, 4] or not np.array_equal(pruned, tokens):
         return "keep = frames is not the identity"
     return ""
@@ -859,24 +853,21 @@ def check_timestep_rule(rng):
 def check_jpma(rng):
     cam = CameraModel(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
     pose = RngStream(3).uniform(-400.0, 400.0, (2, 3, 3)) + np.array([0.0, 0.0, 4000.0])
-    single = HypothesisSet(poses=pose[None], seeds=(0,))
     kp = cam.project(pose)
-    if not np.array_equal(jpma_aggregate(single, kp, cam), pose):
+    if not np.array_equal(jpma_aggregate(pose[None], kp, cam), pose):
         return "single hypothesis must pass through bitwise"
     # the exactly-reprojecting hypothesis wins everywhere
     rng_l = RngStream(9)
     others = pose[None] + rng_l.normal((3, 2, 3, 3)) * 50.0
     poses = np.concatenate([others[:1], pose[None], others[1:]])
-    hyps = HypothesisSet(poses=poses, seeds=tuple(range(4)))
-    if not np.array_equal(jpma_aggregate(hyps, kp, cam), pose):
+    if not np.array_equal(jpma_aggregate(poses, kp, cam), pose):
         return "exact reprojection was not selected"
     # random instances against the per-joint argmin oracle + lower bound
     for trial in range(10):
         rng_t = RngStream(100 + trial)
         poses = rng_t.uniform(-400.0, 400.0, (3, 2, 4, 3)) + np.array([0.0, 0.0, 3000.0])
         kp = cam.project(poses[0]) + rng_t.normal((2, 4, 2)) * 5.0
-        hyps = HypothesisSet(poses=poses, seeds=(0, 1, 2))
-        fast = jpma_aggregate(hyps, kp, cam)
+        fast = jpma_aggregate(poses, kp, cam)
         if not np.array_equal(fast, naive_jpma(poses, kp, cam)):
             return f"trial {trial}: disagrees with argmin oracle"
         chosen_err = np.linalg.norm(cam.project(fast) - kp, axis=-1)
@@ -886,12 +877,11 @@ def check_jpma(rng):
                 return "selected reprojection error exceeds a hypothesis"
     # nonpositive depth disqualifies; all-disqualified falls back to hypothesis 0
     bad = np.array([[[[0.0, 0.0, -1.0]]], [[[100.0, 0.0, 2000.0]]]])
-    hyps = HypothesisSet(poses=bad, seeds=(0, 1))
     kp = cam.project(bad[1])
-    if not np.array_equal(jpma_aggregate(hyps, kp, cam), bad[1]):
+    if not np.array_equal(jpma_aggregate(bad, kp, cam), bad[1]):
         return "behind-camera hypothesis was not disqualified"
-    all_bad = HypothesisSet(poses=-np.abs(bad), seeds=(0, 1))
-    if not np.array_equal(jpma_aggregate(all_bad, kp, cam), all_bad.poses[0]):
+    all_bad = -np.abs(bad)
+    if not np.array_equal(jpma_aggregate(all_bad, kp, cam), all_bad[0]):
         return "all-disqualified position did not fall back to hypothesis 0"
     return ""
 
@@ -1222,8 +1212,7 @@ def check_synthetic_and_camera_loop(rng):
         return "static kind must repeat one pose"
     # closing the camera loop: H copies of the truth reproject exactly
     pose, kp = generate_synthetic(5, 8, 7, "walk_cycle", cam, noise_2d=0.0)
-    hyps = HypothesisSet(poses=np.repeat(pose[None], 3, axis=0), seeds=(0, 1, 2))
-    agg = jpma_aggregate(hyps, kp, cam)
+    agg = jpma_aggregate(np.repeat(pose[None], 3, axis=0), kp, cam)
     if np.max(np.linalg.norm(cam.project(agg) - kp, axis=-1)) != 0.0:
         return "noise-free reprojection error is not zero"
     try:

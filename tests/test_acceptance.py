@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from htp.core import RngStream
 from htp.verify import (
@@ -142,7 +143,7 @@ def _smoke_chain(workdir):
     )
     assert ver.returncode == 0, f"verify exited {ver.returncode}, expected 0 (EXIT_OK):\n{ver.stdout}"
 
-    blobs = tuple(open(p, "rb").read() for p in (gt, obs, out, retained, report))
+    blobs = tuple(Path(p).read_bytes() for p in (gt, obs, out, retained, report))
     return blobs, ver.stdout, inf.stdout
 
 

@@ -4,13 +4,14 @@ injects a stage failure or reads a profile in-process."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import htp.denoiser
 from htp import io as htp_io
-from htp.cli import EXIT_CONFIG, EXIT_STAGE, main
+from htp.cli import EXIT_CONFIG, EXIT_IO, EXIT_STAGE, main
 
 TINY = {
     "joints": 4,
@@ -64,8 +65,8 @@ class TestGenerate:
         result = run_cli("generate", "--config", tiny_config, "--kind", "walk_cycle",
                          "--out-3d", gt2, "--out-2d", obs2)
         assert result.returncode == 0
-        assert open(generated[0], "rb").read() == open(gt2, "rb").read()
-        assert open(generated[1], "rb").read() == open(obs2, "rb").read()
+        assert Path(generated[0]).read_bytes() == Path(gt2).read_bytes()
+        assert Path(generated[1]).read_bytes() == Path(obs2).read_bytes()
 
 
 class TestInfer:
@@ -76,7 +77,7 @@ class TestInfer:
             out = str(tmp_path / name)
             result = run_cli("infer", "--config", tiny_config, "--in-2d", obs, "--out", out)
             assert result.returncode == 0, result.stderr
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_emits_retained_and_mask(self, tmp_path, tiny_config, generated):
@@ -87,7 +88,7 @@ class TestInfer:
         result = run_cli("infer", "--config", tiny_config, "--in-2d", obs, "--out", out,
                          "--emit-retained", retained, "--emit-mask", mask_path)
         assert result.returncode == 0, result.stderr
-        indices = json.load(open(retained))
+        indices = json.loads(Path(retained).read_text())
         assert indices == sorted(indices) and len(indices) == TINY["keep_frames"]
         mask = htp_io.read_tensor(mask_path)
         assert mask.shape == (4, 12, 12)
@@ -132,6 +133,21 @@ class TestInfer:
                          "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("defect", ["csv_row", "checkpoint"])
+    def test_malformed_input_exits_3_and_names_file(self, tmp_path, tiny_config, generated, capsys, defect):
+        _, obs = generated
+        args = ["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(tmp_path / "x.csv")]
+        if defect == "csv_row":
+            bad = tmp_path / "obs_bad.csv"
+            bad.write_text(Path(obs).read_text().replace("\n1,0,", "\n1,x,", 1))
+            args[4] = str(bad)
+        else:
+            bad = tmp_path / "params_bad.ckpt"
+            bad.write_bytes(b"not a zip archive")
+            args += ["--params", str(bad)]
+        assert main(args) == EXIT_IO == 3
+        assert str(bad) in capsys.readouterr().err
+
     def test_failing_stage_exits_1_and_names_it(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("empty support")
@@ -156,7 +172,7 @@ class TestProfile:
         result = run_cli("profile", "--H", "20", "--K", "10", "--json", json_out)
         assert result.returncode == 0, result.stderr
         assert "single pass" in result.stdout
-        data = json.load(open(json_out))
+        data = json.loads(Path(json_out).read_text())
         assert data["hypotheses"] == 20 and data["iterations"] == 10
         assert data["inference_total"] == data["inference_single_pass"] * 200
 

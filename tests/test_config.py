@@ -1,10 +1,12 @@
 """Run configuration loading and strict validation."""
 
 import json
+import re
 
 import pytest
 
 from htp.config import ConfigError, RunConfig, load_config
+from htp.macs import profile_model
 
 
 class TestDefaults:
@@ -73,6 +75,15 @@ class TestValidation:
     def test_named_violations(self, overrides, needle):
         with pytest.raises(ConfigError, match=needle):
             load_config(None, overrides)
+
+    def test_small_model_leaves_inference_blocks_to_profile(self):
+        cfg = load_config(None, {"blocks": 1, "sparse_blocks": 0})
+        assert cfg.inference_sparse_blocks is None
+        report = profile_model(cfg.denoiser_config(), 1, 1, cfg.inference_sparse_blocks)
+        assert report.inference_sparse_blocks == 1
+        for wrong in ("2", True):
+            with pytest.raises(ConfigError, match=re.escape("inference_sparse_blocks: must be of type int | None")):
+                load_config(None, {"inference_sparse_blocks": wrong})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):

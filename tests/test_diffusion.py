@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from htp.core import RngStream, gaussian
+from htp.core import RngStream, ShapeError, gaussian
 from htp.diffusion import (
     CameraModel,
     DiffusionSchedule,
-    HypothesisSet,
     build_schedule,
     ddim_sigma,
     ddim_step,
@@ -169,31 +168,27 @@ class TestJpma:
 
     def test_single_hypothesis_passthrough(self):
         pose = RngStream(12).uniform(-300, 300, (3, 4, 3)) + np.array([0, 0, 3500.0])
-        hyps = HypothesisSet(poses=pose[None], seeds=(0,))
-        assert np.array_equal(jpma_aggregate(hyps, self.CAM.project(pose), self.CAM), pose)
+        assert np.array_equal(jpma_aggregate(pose[None], self.CAM.project(pose), self.CAM), pose)
 
     def test_exact_reprojection_selected_everywhere(self):
         rng = RngStream(13)
         truth = rng.uniform(-300, 300, (2, 3, 3)) + np.array([0, 0, 3500.0])
         noisy = truth[None] + rng.normal((4, 2, 3, 3)) * 30
         poses = np.concatenate([noisy[:2], truth[None], noisy[2:]])
-        hyps = HypothesisSet(poses=poses, seeds=tuple(range(5)))
-        assert np.array_equal(jpma_aggregate(hyps, self.CAM.project(truth), self.CAM), truth)
+        assert np.array_equal(jpma_aggregate(poses, self.CAM.project(truth), self.CAM), truth)
 
     def test_matches_argmin_oracle(self):
         rng = RngStream(14)
         for _ in range(5):
             poses = rng.uniform(-300, 300, (3, 2, 4, 3)) + np.array([0, 0, 3000.0])
             keypoints = self.CAM.project(poses[1]) + rng.normal((2, 4, 2)) * 4
-            hyps = HypothesisSet(poses=poses, seeds=(0, 1, 2))
-            assert np.array_equal(jpma_aggregate(hyps, keypoints, self.CAM), naive_jpma(poses, keypoints, self.CAM))
+            assert np.array_equal(jpma_aggregate(poses, keypoints, self.CAM), naive_jpma(poses, keypoints, self.CAM))
 
     def test_selected_error_lower_bounds_all(self):
         rng = RngStream(15)
         poses = rng.uniform(-300, 300, (4, 3, 3, 3)) + np.array([0, 0, 3000.0])
         keypoints = self.CAM.project(poses[0]) + rng.normal((3, 3, 2)) * 6
-        hyps = HypothesisSet(poses=poses, seeds=tuple(range(4)))
-        chosen = jpma_aggregate(hyps, keypoints, self.CAM)
+        chosen = jpma_aggregate(poses, keypoints, self.CAM)
         chosen_err = np.linalg.norm(self.CAM.project(chosen) - keypoints, axis=-1)
         for h in range(4):
             err = np.linalg.norm(self.CAM.project(poses[h]) - keypoints, axis=-1)
@@ -202,15 +197,18 @@ class TestJpma:
     def test_nonpositive_depth_disqualified(self):
         good = np.array([[[[50.0, -20.0, 2000.0]]]])
         bad = np.array([[[[0.0, 0.0, -5.0]]]])
-        hyps = HypothesisSet(poses=np.concatenate([bad, good]), seeds=(0, 1))
-        out = jpma_aggregate(hyps, self.CAM.project(good[0]), self.CAM)
+        out = jpma_aggregate(np.concatenate([bad, good]), self.CAM.project(good[0]), self.CAM)
         assert np.array_equal(out, good[0])
 
     def test_all_disqualified_falls_back_to_first(self):
         poses = -np.abs(RngStream(16).normal((3, 1, 2, 3))) - 1.0
-        hyps = HypothesisSet(poses=poses, seeds=(0, 1, 2))
-        out = jpma_aggregate(hyps, np.zeros((1, 2, 2)), self.CAM)
+        out = jpma_aggregate(poses, np.zeros((1, 2, 2)), self.CAM)
         assert np.array_equal(out, poses[0])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (0, 2, 3, 3), (2, 1, 2, 3, 3)])
+    def test_not_a_hypothesis_stack_is_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=r"\(H, J, F, 3\)"):
+            jpma_aggregate(np.ones(shape), np.zeros((2, 3, 2)), self.CAM)
 
 
 class TestMpjpe:

@@ -1,5 +1,9 @@
 """Binary tensor format, pose CSVs, and checkpoint containers."""
 
+import json
+import re
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -70,6 +74,30 @@ class TestPoseCsv:
         with pytest.raises(htp_io.FormatError, match="finite"):
             htp_io.read_pose_csv(path)
 
+    def test_nan_value_is_non_finite_not_missing(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("frame,joint,u,v\n0,0,1.0,nan\n1,0,3.0,4.0\n")
+        with pytest.raises(htp_io.FormatError, match="non-finite"):
+            htp_io.read_pose_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "1,x,1.0,2.0",  # non-integer index
+            "1,0,1.0,abc",  # non-numeric value
+            "",  # blank line
+            "-5,0,1.0,2.0",  # index below -F
+            "-1,0,1.0,2.0",  # negative index that numpy would wrap
+            "1,0,1.0",  # short row
+            "1,0,1.0,2.0,3.0",  # extra column
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frame,joint,u,v\n0,0,1.0,2.0\n{bad_row}\n")
+        with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: line 3: ")):
+            htp_io.read_pose_csv(path)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -88,4 +116,32 @@ class TestCheckpoint:
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("whatever", b"data")
         with pytest.raises(htp_io.FormatError, match="manifest"):
+            htp_io.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "defect, needle",
+        [
+            ("not_zip", "BadZipFile"),
+            ("bad_json", "JSONDecodeError"),
+            ("no_tensors", "KeyError: 'tensors'"),
+            ("absent_entry", "tensors/0000.htp1"),
+            ("truncated_tensor", "truncated header"),
+        ],
+    )
+    def test_malformed_checkpoint_is_format_error(self, tmp_path, defect, needle):
+        path = tmp_path / "broken.ckpt"
+        manifest = {"format": "HTP1", "tensors": {"a.w": "tensors/0000.htp1"}}
+        if defect == "not_zip":
+            path.write_bytes(b"not a zip archive")
+        else:
+            with zipfile.ZipFile(path, "w") as zf:
+                if defect == "bad_json":
+                    zf.writestr("manifest.json", "{not json")
+                elif defect == "no_tensors":
+                    zf.writestr("manifest.json", json.dumps({"format": "HTP1"}))
+                else:
+                    zf.writestr("manifest.json", json.dumps(manifest))
+                if defect == "truncated_tensor":
+                    zf.writestr("tensors/0000.htp1", b"HTP1\x02\x00\x00\x00\x03")
+        with pytest.raises(htp_io.FormatError, match=re.escape(str(path)) + ".*" + re.escape(needle)):
             htp_io.load_checkpoint(path)

@@ -7,7 +7,6 @@ import pytest
 
 from htp.core import RngStream
 from htp.mgptp import (
-    FrameTokens,
     cluster_scores,
     knn_density,
     masked_distance,
@@ -20,9 +19,9 @@ from htp.mgptp import (
 from htp.verify import _random_binary_mask, naive_prune_indices
 
 
-def _full_ft(tokens):
+def _full_distance(tokens):
     frames = tokens.shape[0]
-    return FrameTokens(tokens=tokens, mask=np.ones((frames, frames)))
+    return masked_distance(tokens, np.ones((frames, frames)))
 
 
 class TestPooling:
@@ -30,29 +29,29 @@ class TestPooling:
         rng = RngStream(1)
         tokens = rng.normal((1, 4, 3))
         mask = _random_binary_mask(rng, 1, 4)
-        ft = pool_tokens_and_mask(tokens, mask, 1.0)
-        assert np.array_equal(ft.tokens, tokens[0])
-        assert np.array_equal(ft.mask, mask[0])
+        z, pooled = pool_tokens_and_mask(tokens, mask, 1.0)
+        assert np.array_equal(z, tokens[0])
+        assert np.array_equal(pooled, mask[0])
 
     def test_shared_mask_survives_any_threshold(self):
         rng = RngStream(2)
         tokens = rng.normal((3, 4, 2))
         mask = np.repeat(_random_binary_mask(rng, 1, 4), 3, axis=0)
         for threshold in (0.1, 0.5, 1.0):
-            assert np.array_equal(pool_tokens_and_mask(tokens, mask, threshold).mask, mask[0])
+            assert np.array_equal(pool_tokens_and_mask(tokens, mask, threshold)[1], mask[0])
 
     def test_disagreement_threshold_arithmetic(self):
         # two joints disagree at (0, 1): pooled average is exactly 0.5
         mask = np.ones((2, 2, 2))
         mask[1, 0, 1] = mask[1, 1, 0] = 0.0
         tokens = RngStream(3).normal((2, 2, 2))
-        assert pool_tokens_and_mask(tokens, mask, 0.5).mask[0, 1] == 1.0
-        assert pool_tokens_and_mask(tokens, mask, 0.6).mask[0, 1] == 0.0
+        assert pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1] == 1.0
+        assert pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1] == 0.0
 
     def test_diagonal_stays_one(self):
         rng = RngStream(4)
-        ft = pool_tokens_and_mask(rng.normal((3, 5, 2)), _random_binary_mask(rng, 3, 5), 1.0)
-        assert np.all(np.diag(ft.mask) == 1.0)
+        _, pooled = pool_tokens_and_mask(rng.normal((3, 5, 2)), _random_binary_mask(rng, 3, 5), 1.0)
+        assert np.all(np.diag(pooled) == 1.0)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -61,18 +60,17 @@ class TestPooling:
 
 class TestMaskedDistance:
     def test_hand_line_distances(self):
-        dist, _ = masked_distance(_full_ft(np.array([[0.0], [3.0], [4.0]])))
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
         assert np.allclose(dist, [[0, 3, 4], [3, 0, 1], [4, 1, 0]], atol=0)
 
     def test_sentinel_replaces_masked_pair(self):
         mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
-        ft = FrameTokens(tokens=np.array([[0.0], [3.0], [4.0]]), mask=mask)
-        dist, far = masked_distance(ft)
+        dist, far = masked_distance(np.array([[0.0], [3.0], [4.0]]), mask)
         assert far == 4.0 + 1e-6
         assert dist[0, 2] == far and dist[2, 0] == far
 
     def test_identical_tokens(self):
-        dist, far = masked_distance(_full_ft(np.zeros((4, 3))))
+        dist, far = _full_distance(np.zeros((4, 3)))
         assert far == 1e-6
         assert not dist.any()
 
@@ -81,23 +79,23 @@ class TestMaskedDistance:
         for _ in range(10):
             tokens = rng.normal((3, 6, 2))
             mask = _random_binary_mask(rng, 3, 6)
-            ft = pool_tokens_and_mask(tokens, mask, 0.5)
-            dist, _ = masked_distance(ft)
+            z, pooled = pool_tokens_and_mask(tokens, mask, 0.5)
+            dist, _ = masked_distance(z, pooled)
             off = ~np.eye(6, dtype=bool)
-            valid = (ft.mask == 1.0) & off
-            blocked = (ft.mask == 0.0) & off
+            valid = (pooled == 1.0) & off
+            blocked = (pooled == 0.0) & off
             if blocked.any() and valid.any():
                 assert dist[blocked].min() > dist[valid].max()
 
 
 class TestDensity:
     def test_hand_line_k1(self):
-        dist, _ = masked_distance(_full_ft(np.array([[0.0], [3.0], [4.0]])))
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
         density = knn_density(dist, 1)
         assert np.allclose(density, [math.exp(-9), math.exp(-1), math.exp(-1)], atol=1e-16)
 
     def test_identical_tokens_density_one(self):
-        dist, _ = masked_distance(_full_ft(np.zeros((5, 2))))
+        dist, _ = _full_distance(np.zeros((5, 2)))
         assert np.array_equal(knn_density(dist, 2), np.ones(5))
 
     def test_single_frame(self):
@@ -108,7 +106,7 @@ class TestDensity:
         for trial in range(30):
             frames = 2 + trial % 7
             tokens = rng.normal((frames, 3))
-            dist, _ = masked_distance(_full_ft(tokens))
+            dist, _ = _full_distance(tokens)
             k = 1 + trial % (frames - 1) if frames > 1 else 1
             fast = knn_density(dist, k)
             for p in range(frames):
@@ -145,11 +143,11 @@ class TestResponseAndSeparation:
         assert np.argmax(a) == np.argmax(b)
 
     def test_separation_hand_values(self):
-        dist, _ = masked_distance(_full_ft(np.array([[0.0], [3.0], [4.0]])))
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
         assert np.allclose(separation_distance(dist, np.array([3.0, 2.0, 1.0])), [4, 3, 1], atol=0)
 
     def test_separation_all_equal_uses_index_order(self):
-        dist, _ = masked_distance(_full_ft(np.array([[0.0], [3.0], [4.0]])))
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
         sep = separation_distance(dist, np.ones(3))
         assert sep[0] == 4.0  # peak by the lower-index rule
         assert sep[1] == 3.0  # distance to frame 0
@@ -163,7 +161,7 @@ class TestSelectAndPrune:
     def test_identity_prune(self):
         rng = RngStream(9)
         tokens = rng.normal((2, 5, 3))
-        pruned, indices, _ = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
+        pruned, indices = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
         assert list(indices) == [0, 1, 2, 3, 4]
         assert np.array_equal(pruned, tokens)
 
@@ -171,21 +169,20 @@ class TestSelectAndPrune:
         rng = RngStream(10)
         tokens = rng.normal((2, 6, 3))
         mask = _random_binary_mask(rng, 2, 6)
-        ft = pool_tokens_and_mask(tokens, mask, 0.5)
-        state = cluster_scores(ft, 2)
+        state = cluster_scores(*pool_tokens_and_mask(tokens, mask, 0.5), 2)
         _, indices = select_and_prune(tokens, state, 1)
         assert indices[0] == np.argmax(state.separation * state.response)
 
     def test_indices_strictly_increasing_and_bitwise_slice(self):
         rng = RngStream(11)
         tokens = rng.normal((3, 8, 2))
-        pruned, indices, _ = prune_frames(tokens, _random_binary_mask(rng, 3, 8), 0.5, 3, 4)
+        pruned, indices = prune_frames(tokens, _random_binary_mask(rng, 3, 8), 0.5, 3, 4)
         assert np.all(np.diff(indices) > 0)
         assert np.array_equal(pruned, tokens[:, indices, :])
 
     def test_frame_constant_tokens_keep_first(self):
         tokens = np.ones((2, 6, 3))
-        _, indices, _ = prune_frames(tokens, np.ones((2, 6, 6)), 0.5, 2, 3)
+        _, indices = prune_frames(tokens, np.ones((2, 6, 6)), 0.5, 2, 3)
         assert list(indices) == [0, 1, 2]
 
     def test_keep_too_large_rejected(self):
@@ -196,8 +193,8 @@ class TestSelectAndPrune:
         rng = RngStream(12)
         tokens = rng.normal((2, 9, 3))
         mask = _random_binary_mask(rng, 2, 9)
-        _, a, _ = prune_frames(tokens, mask, 0.5, 3, 4)
-        _, b, _ = prune_frames(tokens, mask, 0.5, 3, 4)
+        _, a = prune_frames(tokens, mask, 0.5, 3, 4)
+        _, b = prune_frames(tokens, mask, 0.5, 3, 4)
         assert np.array_equal(a, b)
 
     def test_matches_loop_oracle(self):
@@ -211,5 +208,5 @@ class TestSelectAndPrune:
             k = 1 + trial % (frames - 1) if frames > 1 else 1
             keep = 1 + trial % frames
             threshold = (0.3, 0.5, 1.0)[trial % 3]
-            _, indices, _ = prune_frames(tokens, mask, threshold, k, keep)
+            _, indices = prune_frames(tokens, mask, threshold, k, keep)
             assert list(indices) == naive_prune_indices(tokens, mask, threshold, k, keep)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from htp.core import RngStream
-from htp.diffusion import CameraModel, HypothesisSet, jpma_aggregate
+from htp.diffusion import CameraModel, jpma_aggregate
 from htp.synthetic import MOTION_KINDS, generate_pose_sequence, generate_synthetic, project_to_2d
 
 CAM = CameraModel(fx=1145.0, fy=1145.0, cx=512.0, cy=512.0)
@@ -60,8 +60,7 @@ class TestProjection:
     def test_camera_loop_closes_exactly(self):
         # noise-free projection, then aggregation over copies of the truth
         pose, keypoints = generate_synthetic(5, 8, 21, "random_smooth", CAM)
-        hyps = HypothesisSet(poses=np.repeat(pose[None], 4, axis=0), seeds=(0, 1, 2, 3))
-        aggregated = jpma_aggregate(hyps, keypoints, CAM)
+        aggregated = jpma_aggregate(np.repeat(pose[None], 4, axis=0), keypoints, CAM)
         assert np.array_equal(aggregated, pose)
         assert np.max(np.linalg.norm(CAM.project(aggregated) - keypoints, axis=-1)) == 0.0
 

@@ -7,8 +7,6 @@ import pytest
 
 from htp.core import NEG_INF, RngStream, ShapeError
 from htp.tcep import (
-    TcepParams,
-    TemporalAdjacency,
     chain_adjacency,
     frame_similarity,
     fuse_adjacency,
@@ -151,41 +149,40 @@ class TestTcepRefine:
     def _instance(self, seed, joints=2, frames=5, dim=3):
         rng = RngStream(seed)
         tokens = rng.normal((joints, frames, dim))
-        adj = TemporalAdjacency(base=chain_adjacency(frames), learned=0.2 * rng.normal((frames, frames)))
-        return tokens, adj, TcepParams(weight=rng.normal((dim, dim)), top_k=2)
+        fused = fuse_adjacency(chain_adjacency(frames), 0.2 * rng.normal((frames, frames)))
+        return tokens, fused, rng.normal((dim, dim))
 
     def test_zero_weight_is_residual_only(self):
-        tokens, adj, _ = self._instance(10)
-        out, _ = tcep_refine(tokens, adj, TcepParams(np.zeros((3, 3)), 2))
+        tokens, fused, _ = self._instance(10)
+        out, _ = tcep_refine(tokens, fused, np.zeros((3, 3)), 2)
         assert np.array_equal(out, tokens)
 
     def test_zero_adjacency_is_residual_only(self):
-        tokens, _, params = self._instance(11)
-        adj = TemporalAdjacency(base=np.zeros((5, 5)), learned=np.zeros((5, 5)))
-        out, _ = tcep_refine(tokens, adj, params)
+        tokens, _, weight = self._instance(11)
+        out, _ = tcep_refine(tokens, np.zeros((5, 5)), weight, 2)
         assert np.array_equal(out, tokens)
 
     def test_matches_straight_loop_oracle(self):
         for seed in range(12, 17):
-            tokens, adj, params = self._instance(seed)
-            fast_tokens, fast_mask = tcep_refine(tokens, adj, params)
-            slow_tokens, slow_mask = naive_tcep_refine(tokens, adj.fused, params.weight, params.top_k)
+            tokens, fused, weight = self._instance(seed)
+            fast_tokens, fast_mask = tcep_refine(tokens, fused, weight, 2)
+            slow_tokens, slow_mask = naive_tcep_refine(tokens, fused, weight, 2)
             assert np.array_equal(fast_mask, slow_mask)
             assert np.max(np.abs(fast_tokens - slow_tokens)) < 1e-12
 
     def test_joint_permutation_equivariance(self):
-        tokens, adj, params = self._instance(20, joints=4)
-        out, mask = tcep_refine(tokens, adj, params)
+        tokens, fused, weight = self._instance(20, joints=4)
+        out, mask = tcep_refine(tokens, fused, weight, 2)
         perm = np.array([3, 1, 0, 2])
-        out_p, mask_p = tcep_refine(tokens[perm], adj, params)
+        out_p, mask_p = tcep_refine(tokens[perm], fused, weight, 2)
         assert np.array_equal(out_p, out[perm])
         assert np.array_equal(mask_p, mask[perm])
 
     def test_mask_softmax_support(self):
-        tokens, adj, params = self._instance(21)
+        tokens, fused, weight = self._instance(21)
         from htp.core import softmax_rows
 
-        _, mask = tcep_refine(tokens, adj, params)
+        _, mask = tcep_refine(tokens, fused, weight, 2)
         for j in range(mask.shape[0]):
             sim = frame_similarity(tokens[j])
             soft = softmax_rows(mask_similarity(sim, mask[j]))
@@ -193,13 +190,22 @@ class TestTcepRefine:
             assert np.all(soft[mask[j] == 0.0] == 0.0)
 
     def test_clamp_warns_once_per_call(self, caplog):
-        tokens, adj, _ = self._instance(25, joints=4, frames=4)
+        tokens, fused, _ = self._instance(25, joints=4, frames=4)
         with caplog.at_level(logging.WARNING, logger="htp.tcep"):
-            tcep_refine(tokens, adj, TcepParams(np.zeros((3, 3)), top_k=9))
+            tcep_refine(tokens, fused, np.zeros((3, 3)), top_k=9)
         assert sum("clamping" in r.message for r in caplog.records) == 1
 
     def test_mask_stacked_over_joints(self):
-        tokens, adj, params = self._instance(22, joints=3, frames=6)
-        _, mask = tcep_refine(tokens, adj, params)
+        tokens, fused, weight = self._instance(22, joints=3, frames=6)
+        _, mask = tcep_refine(tokens, fused, weight, 2)
         assert mask.shape == (3, 6, 6)
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "fused_shape, weight_shape, what",
+        [((4, 4), (3, 3), "adjacency"), ((5, 4), (3, 3), "adjacency"), ((5, 5), (3, 2), "weight"), ((5, 5), (4, 4), "weight")],
+    )
+    def test_mismatched_adjacency_or_weight_is_shape_error(self, fused_shape, weight_shape, what):
+        tokens, _, _ = self._instance(23)
+        with pytest.raises(ShapeError, match=what):
+            tcep_refine(tokens, np.ones(fused_shape), np.ones(weight_shape), 2)
