@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .core import NEG_INF, ShapeError, gelu, layer_norm, linear, softmax_rows
+from .core import NEG_INF, SPARSE_ROUTE_DENSITY, ShapeError, gelu, layer_norm, linear, segment_softmax, softmax_rows
 
 
 @dataclass
@@ -93,6 +94,28 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None
     return softmax_rows(scores)
 
 
+def _sparse_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
+    """Masked attention context of split-head q, k, v, computed on the admitted pairs only.
+
+    Per leading slice (joint), the scores are gathered at the finite entries
+    of add_mask in row-major (CSR) order, the mask's values there are added,
+    each row segment is softmaxed, and the weights multiply v as a sparse
+    matrix. add_mask has the leading shape of q.
+    """
+    *lead, heads, frames, _ = v.shape
+    q /= np.sqrt(q.shape[-1])
+    ctx = np.empty(v.shape)
+    for idx in np.ndindex(*lead):
+        rows, cols = np.nonzero(np.isfinite(add_mask[idx]))
+        indptr = np.searchsorted(rows, np.arange(frames + 1))
+        probs = (q[idx] @ np.swapaxes(k[idx], -1, -2))[:, rows, cols]
+        probs += add_mask[idx][rows, cols]
+        segment_softmax(probs, indptr)
+        for h in range(heads):
+            ctx[idx + (h,)] = csr_matrix((probs[h], cols, indptr), shape=(frames, frames)) @ v[idx + (h,)]
+    return ctx
+
+
 def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
     """Per-head post-softmax weights of sft_mhsa, shape (..., heads, T, T)."""
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
@@ -105,7 +128,9 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
     add_mask holds {0, -inf} per (..., T, T); None means dense attention.
-    A row with no finite entry raises ValueError("empty support").
+    A row with no finite entry raises ValueError("empty support"). When fewer
+    than SPARSE_ROUTE_DENSITY of the mask's entries are finite, only those
+    pairs are scored, exponentiated and multiplied.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if add_mask is not None:
@@ -118,7 +143,10 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     q = _split_heads(linear(x, w.wq), w.heads)
     k = _split_heads(linear(x, w.wk), w.heads)
     v = _split_heads(linear(x, w.wv), w.heads)
-    ctx = _attention_weights(q, k, add_mask) @ v
+    if add_mask is not None and np.count_nonzero(np.isfinite(add_mask)) < SPARSE_ROUTE_DENSITY * add_mask.size:
+        ctx = _sparse_context(q, k, v, np.broadcast_to(add_mask, q.shape[:-3] + add_mask.shape[-2:]))
+    else:
+        ctx = _attention_weights(q, k, add_mask) @ v
     return linear(_merge_heads(ctx), w.wo) + tokens
 
 

@@ -16,6 +16,13 @@ from scipy.special import erf
 
 NEG_INF = float("-inf")
 
+# Masked layers (sft_mhsa, tcep_refine) compute only the admitted pairs when
+# fewer than this fraction of a mask's entries are admitted. Measured
+# crossovers (J=17, D=64, 2 cores, OpenBLAS, float64): sft_mhsa 0.18-0.24 at
+# F=243 and above 0.23 at F=729; tcep_refine 0.13-0.18 at F=243 and about
+# 0.23 at F=729. Below 0.1 the sparse route wins in every case measured.
+SPARSE_ROUTE_DENSITY = 0.1
+
 _LN_EPS = 1e-5
 _GELU_CHUNK = 1 << 15  # elements per GELU pass: 256 KiB of float64, so a chunk stays in cache
 _MASK64 = (1 << 64) - 1
@@ -44,6 +51,23 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)  # in place: one full-size temporary fewer; exp(-inf) == 0.0 exactly
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def segment_softmax(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Softmax, in place, of each row segment values[..., indptr[i]:indptr[i + 1]].
+
+    ``values`` holds the admitted entries of every row in CSR order along its
+    last axis; leading axes (heads) are independent. Raises
+    ValueError("empty support") when a row has no entry.
+    """
+    counts = np.diff(indptr)
+    if np.any(counts == 0):
+        raise ValueError("empty support")
+    starts = indptr[:-1]
+    values -= np.repeat(np.maximum.reduceat(values, starts, axis=-1), counts, axis=-1)
+    np.exp(values, out=values)
+    values /= np.repeat(np.add.reduceat(values, starts, axis=-1), counts, axis=-1)
+    return values
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

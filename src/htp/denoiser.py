@@ -193,31 +193,72 @@ class DenoiserParams:
     head_b: np.ndarray
 
 
-def _uniform(rng: RngStream, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
-def _init_attn(rng: RngStream, dim: int, heads: int) -> AttnWeights:
+def _init_attn(draw, dim: int, heads: int) -> AttnWeights:
     return AttnWeights(
-        wq=_uniform(rng, (dim, dim), dim),
-        wk=_uniform(rng, (dim, dim), dim),
-        wv=_uniform(rng, (dim, dim), dim),
-        wo=_uniform(rng, (dim, dim), dim),
+        wq=draw((dim, dim), dim),
+        wk=draw((dim, dim), dim),
+        wv=draw((dim, dim), dim),
+        wo=draw((dim, dim), dim),
         heads=heads,
         ln_scale=np.ones(dim),
         ln_shift=np.zeros(dim),
     )
 
 
-def _init_mlp(rng: RngStream, dim: int, hidden: int) -> MlpWeights:
+def _init_mlp(draw, dim: int, hidden: int) -> MlpWeights:
     return MlpWeights(
-        w1=_uniform(rng, (dim, hidden), dim),
+        w1=draw((dim, hidden), dim),
         b1=np.zeros(hidden),
-        w2=_uniform(rng, (hidden, dim), hidden),
+        w2=draw((hidden, dim), hidden),
         b2=np.zeros(dim),
         ln_scale=np.ones(dim),
         ln_shift=np.zeros(dim),
+    )
+
+
+def _build_params(cfg: DenoiserConfig, draw) -> DenoiserParams:
+    """The one table of parameter shapes: every weight comes from
+    ``draw(shape, fan_in)`` in a fixed order; biases, norms and the learned
+    temporal overlay start at their constants."""
+    dim, hidden = cfg.embed_dim, cfg.mlp_hidden
+    blocks = []
+    for _ in range(cfg.blocks):
+        blocks.append(
+            BlockParams(
+                spatial_attn=_init_attn(draw, dim, cfg.heads),
+                spatial_mlp=_init_mlp(draw, dim, hidden),
+                temporal_attn=_init_attn(draw, dim, cfg.heads),
+                temporal_mlp=_init_mlp(draw, dim, hidden),
+            )
+        )
+    return DenoiserParams(
+        embed_w=draw((INPUT_WIDTH, dim), INPUT_WIDTH),
+        embed_b=np.zeros(dim),
+        gcn_w=draw((dim, dim), dim),
+        spatial_pos=draw((cfg.joints, dim), dim),
+        temporal_pos=draw((cfg.frames, dim), dim),
+        entry_attn=_init_attn(draw, dim, cfg.heads),
+        entry_mlp=_init_mlp(draw, dim, hidden),
+        tcep_w=draw((dim, dim), dim),
+        adj_learned=np.zeros((cfg.frames, cfg.frames)),
+        time_w1=draw((dim, dim), dim),
+        time_b1=np.zeros(dim),
+        time_w2=draw((dim, dim), dim),
+        time_b2=np.zeros(dim),
+        blocks=blocks,
+        cross=CrossWeights(
+            wq=draw((dim, dim), dim),
+            wk=draw((dim, dim), dim),
+            wv=draw((dim, dim), dim),
+            wo=draw((dim, dim), dim),
+            heads=cfg.heads,
+            ln_q_scale=np.ones(dim),
+            ln_q_shift=np.zeros(dim),
+            ln_kv_scale=np.ones(dim),
+            ln_kv_shift=np.zeros(dim),
+        ),
+        head_w=draw((dim, OUTPUT_WIDTH), dim),
+        head_b=np.zeros(OUTPUT_WIDTH),
     )
 
 
@@ -225,46 +266,12 @@ def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
     """Seeded parameter set: uniform(+-1/sqrt(fan_in)) weights, zero biases,
     zero learned temporal overlay."""
     rng = RngStream(seed)
-    dim, hidden = cfg.embed_dim, cfg.mlp_hidden
-    blocks = []
-    for _ in range(cfg.blocks):
-        blocks.append(
-            BlockParams(
-                spatial_attn=_init_attn(rng, dim, cfg.heads),
-                spatial_mlp=_init_mlp(rng, dim, hidden),
-                temporal_attn=_init_attn(rng, dim, cfg.heads),
-                temporal_mlp=_init_mlp(rng, dim, hidden),
-            )
-        )
-    return DenoiserParams(
-        embed_w=_uniform(rng, (INPUT_WIDTH, dim), INPUT_WIDTH),
-        embed_b=np.zeros(dim),
-        gcn_w=_uniform(rng, (dim, dim), dim),
-        spatial_pos=_uniform(rng, (cfg.joints, dim), dim),
-        temporal_pos=_uniform(rng, (cfg.frames, dim), dim),
-        entry_attn=_init_attn(rng, dim, cfg.heads),
-        entry_mlp=_init_mlp(rng, dim, hidden),
-        tcep_w=_uniform(rng, (dim, dim), dim),
-        adj_learned=np.zeros((cfg.frames, cfg.frames)),
-        time_w1=_uniform(rng, (dim, dim), dim),
-        time_b1=np.zeros(dim),
-        time_w2=_uniform(rng, (dim, dim), dim),
-        time_b2=np.zeros(dim),
-        blocks=blocks,
-        cross=CrossWeights(
-            wq=_uniform(rng, (dim, dim), dim),
-            wk=_uniform(rng, (dim, dim), dim),
-            wv=_uniform(rng, (dim, dim), dim),
-            wo=_uniform(rng, (dim, dim), dim),
-            heads=cfg.heads,
-            ln_q_scale=np.ones(dim),
-            ln_q_shift=np.zeros(dim),
-            ln_kv_scale=np.ones(dim),
-            ln_kv_shift=np.zeros(dim),
-        ),
-        head_w=_uniform(rng, (dim, OUTPUT_WIDTH), dim),
-        head_b=np.zeros(OUTPUT_WIDTH),
-    )
+
+    def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, shape)
+
+    return _build_params(cfg, draw)
 
 
 def pose_embed(pose_3d: np.ndarray, keypoints_2d: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,7 +462,7 @@ def save_denoiser_params(path, params: DenoiserParams) -> None:
 def load_denoiser_params(path, cfg: DenoiserConfig) -> DenoiserParams:
     """Load a checkpoint and validate every tensor shape against the config."""
     loaded = htp_io.load_checkpoint(path)
-    template = init_params(cfg, seed=0)
+    template = _build_params(cfg, lambda shape, fan_in: np.empty(shape))  # every tensor is overwritten below
     expected = _named_tensors(template)
     missing = sorted(set(expected) - set(loaded))
     extra = sorted(set(loaded) - set(expected))

@@ -30,9 +30,7 @@ class DiffusionSchedule:
 
     total_steps: int
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
-    kind: str
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative signal fraction at step t; t = 0 returns exactly 1."""
@@ -55,11 +53,10 @@ def build_schedule(total_steps: int, kind: str = "linear") -> DiffusionSchedule:
         betas = np.clip(1.0 - bars[1:] / bars[:-1], 1e-8, 0.999)
     else:
         raise ValueError(f"build_schedule: unknown kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
+    alpha_bars = np.cumprod(1.0 - betas)
     if np.any(alpha_bars[1:] >= alpha_bars[:-1]):
         raise ValueError("build_schedule: cumulative products must be strictly decreasing")
-    return DiffusionSchedule(total_steps, betas, alphas, alpha_bars, kind)
+    return DiffusionSchedule(total_steps, betas, alpha_bars)
 
 
 def forward_diffuse(clean: np.ndarray, t: int, noise: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:

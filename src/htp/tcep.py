@@ -12,8 +12,9 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .core import NEG_INF, ShapeError, gelu, softmax_rows
+from .core import NEG_INF, SPARSE_ROUTE_DENSITY, ShapeError, gelu, segment_softmax, softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -68,11 +69,16 @@ def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
         log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, k, frames)
 
     diag = np.arange(frames)
-    descending = np.negative(scores)
-    descending[..., diag, diag] = np.inf  # never pick self
-    order = np.argsort(descending, axis=-1, kind="stable")  # ties: lower index first
-    directed = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(directed, order[..., :k], True, axis=-1)
+    directed = np.empty(scores.shape, dtype=bool)
+    flat = directed.reshape(-1, frames, frames)
+    for m, matrix in enumerate(scores.reshape(-1, frames, frames)):  # one matrix at a time bounds the temporaries
+        descending = np.negative(matrix)
+        descending[diag, diag] = np.inf  # never pick self
+        kth = np.partition(descending, k - 1, axis=-1)[:, k - 1 : k]
+        ties = descending == kth
+        np.less(descending, kth, out=flat[m])  # fewer than k entries beat the k-th value
+        short = k - np.count_nonzero(flat[m], axis=-1, keepdims=True)
+        flat[m] |= ties & (np.cumsum(ties, axis=-1) <= short)  # ties: lower index first
 
     mask = np.logical_or(directed, np.swapaxes(directed, -1, -2)).astype(np.float64)
     mask[..., diag, diag] = 1.0
@@ -95,12 +101,14 @@ def tcep_refine(
 
     For each joint: gate the softmax of the masked similarity with the fused
     (F, F) adjacency, mix frames through it, project with the shared (D, D)
-    weight, and add the GELU of the update back onto the input tokens.
+    weight, and add the GELU of the update back onto the input tokens. When
+    fewer than SPARSE_ROUTE_DENSITY of the mask's entries are set, only those
+    pairs are softmaxed, gated and mixed.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise ShapeError(f"tcep_refine: expected (J, F, D) tokens, got {tokens.shape}")
-    _, frames, dim = tokens.shape
+    joints, frames, dim = tokens.shape
     if np.shape(fused) != (frames, frames):
         raise ShapeError(f"tcep_refine: adjacency {np.shape(fused)} does not match {frames} frames")
     if np.shape(weight) != (dim, dim):
@@ -108,6 +116,16 @@ def tcep_refine(
 
     sim = frame_similarity(tokens)
     mask = select_topk_mask(sim, top_k)
-    gated = softmax_rows(mask_similarity(sim, mask))
-    gated *= fused
-    return tokens + gelu((gated @ tokens) @ weight), mask
+    if np.count_nonzero(mask) < SPARSE_ROUTE_DENSITY * mask.size:
+        mixed = np.empty(tokens.shape)
+        for j in range(joints):
+            rows, cols = np.nonzero(mask[j])
+            indptr = np.searchsorted(rows, np.arange(frames + 1))
+            gated = segment_softmax(sim[j, rows, cols], indptr)
+            gated *= fused[rows, cols]
+            mixed[j] = csr_matrix((gated, cols, indptr), shape=(frames, frames)) @ tokens[j]
+    else:
+        gated = softmax_rows(mask_similarity(sim, mask))
+        gated *= fused
+        mixed = gated @ tokens
+    return tokens + gelu(mixed @ weight), mask

@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import denoiser as htp_denoiser
 from . import io as htp_io
 from .attention import AttnWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
 from .config import ConfigError, load_config
-from .core import _GELU_CHUNK, NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
+from .core import _GELU_CHUNK, NEG_INF, SPARSE_ROUTE_DENSITY, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
 from .denoiser import (
     DenoiserConfig,
+    StageError,
     denoise_forward,
     dense_reference_forward,
     init_params,
@@ -606,6 +608,75 @@ def check_attention_frame_permutation(rng):
     return ""
 
 
+def check_sparse_route_matches_naive(rng):
+    """Masked attention and TCEP equal their loop oracles on both sides of
+    SPARSE_ROUTE_DENSITY, with a hub row of support F, finite non-zero
+    additive values, and an empty row that fails by name."""
+    joints, frames, dim, heads = 2, 24, 8, 2
+    w = _random_attn(rng, dim, heads)
+    tokens = rng.normal((joints, frames, dim))
+    sparse = np.repeat(np.eye(frames)[None], joints, axis=0)
+    sparse[:, 0, :] = 1.0  # hub row: support F
+    sparse[1, 5, [3, 11]] = 1.0
+    dense = _random_binary_mask(rng, joints, frames)
+    values = rng.normal((joints, frames, frames))
+    cases = {
+        "sparse": to_additive_mask(sparse),
+        "sparse, finite non-zero": np.where(sparse == 1.0, values, NEG_INF),
+        "dense": to_additive_mask(dense),
+        "dense, finite non-zero": np.where(dense == 1.0, values, NEG_INF),
+    }
+    for name, add in cases.items():
+        if (np.mean(np.isfinite(add)) < SPARSE_ROUTE_DENSITY) != name.startswith("sparse"):
+            return f"attention, {name}: instance is on the wrong side of the routing density"
+        diff = np.max(np.abs(sft_mhsa(tokens, add, w) - naive_attention(tokens, add, w)))
+        if diff > 1e-12:
+            return f"attention, {name}: max diff {diff:.2e} from the loop oracle"
+
+    for frames, top_k, routed_sparse in ((30, 1, True), (6, 2, False)):
+        tokens = 1.0 + 0.3 * rng.normal((joints, frames, 3))
+        tokens[:, 0] = 5.0  # every frame's nearest neighbour: the hub row gets support F
+        fused = fuse_adjacency(chain_adjacency(frames), 0.3 * rng.normal((frames, frames)))
+        weight = rng.normal((3, 3))
+        fast_tokens, fast_mask = tcep_refine(tokens, fused, weight, top_k)
+        slow_tokens, slow_mask = naive_tcep_refine(tokens, fused, weight, top_k)
+        if (np.mean(fast_mask) < SPARSE_ROUTE_DENSITY) != routed_sparse or not fast_mask[:, 0].all():
+            return f"tcep, F={frames}: instance is on the wrong side of the routing density or has no hub row"
+        if not np.array_equal(fast_mask, slow_mask):
+            return f"tcep, F={frames}: masks differ from the loop oracle"
+        diff = np.max(np.abs(fast_tokens - slow_tokens))
+        if diff > 1e-12:
+            return f"tcep, F={frames}: max diff {diff:.2e} from the loop oracle"
+
+    empty = cases["sparse"].copy()
+    empty[1, 7] = NEG_INF
+    try:
+        sft_mhsa(rng.normal((joints, 24, dim)), empty, w)
+        return "sparse mask with an empty row did not raise"
+    except ValueError as exc:
+        if str(exc) != "empty support":
+            return f"empty row raised {exc!r}"
+    cfg = _small_cfg(joints=2, frames=40, keep_frames=10, corr_topk=1, blocks=1, sparse_blocks=1)
+
+    saved = htp_denoiser.tcep_refine
+
+    def tcep_with_empty_row(*args):
+        refined, mask = saved(*args)
+        mask[1, 7] = 0.0
+        return refined, mask
+
+    htp_denoiser.tcep_refine = tcep_with_empty_row  # the forward's own masks never have an empty row
+    try:
+        denoise_forward(rng.normal((2, 40, 3)), rng.normal((2, 40, 2)), 10, cfg, init_params(cfg, seed=2))
+        return "forward with an empty mask row did not raise"
+    except StageError as exc:
+        if str(exc) != "block0_temporal: empty support":
+            return f"forward raised {exc}"
+    finally:
+        htp_denoiser.tcep_refine = saved
+    return ""
+
+
 def check_ffn_matches_naive(rng):
     for _ in range(10):
         tokens = rng.normal((2, 3, 4))
@@ -772,7 +843,7 @@ def check_forward_and_eps(rng):
     y0 = np.full((1, 1, 1), 2.0)
     eps = np.ones((1, 1, 1))
     # hand arithmetic at signal fraction 0.25
-    manual = DiffusionSchedule(1, np.array([0.75]), np.array([0.25]), np.array([0.25]), "linear")
+    manual = DiffusionSchedule(1, np.array([0.75]), np.array([0.25]))
     y_t = forward_diffuse(y0, 1, eps, manual)
     if abs(y_t[0, 0, 0] - (0.5 * 2.0 + math.sqrt(0.75))) > 1e-12:
         return "forward arithmetic mismatch"
@@ -1241,6 +1312,7 @@ CHECKS = [
     ("attention_dense_equivalence", check_attention_dense_equivalence),
     ("attention_masked_zero_rowsum", check_attention_masked_zero_rowsum),
     ("attention_frame_permutation", check_attention_frame_permutation),
+    ("sparse_route_matches_naive", check_sparse_route_matches_naive),
     ("ffn_matches_naive", check_ffn_matches_naive),
     ("sparse_macs_hook", check_sparse_macs_hook),
     ("mgptp_oracle_500", check_mgptp_oracle_500),

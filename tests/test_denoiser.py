@@ -240,3 +240,18 @@ class TestCheckpoints:
         save_denoiser_params(path, init_params(cfg, 9))
         with pytest.raises(FormatError, match="shape"):
             load_denoiser_params(path, small_cfg(embed_dim=32))
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        params = init_params(cfg, 10)
+        path = tmp_path / "p.ckpt"
+        save_denoiser_params(path, params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew from an RngStream")
+
+        for name in ("__init__", "normal", "uniform"):
+            monkeypatch.setattr(RngStream, name, refuse)
+        loaded = load_denoiser_params(path, cfg)
+        assert np.array_equal(loaded.blocks[1].temporal_mlp.w2, params.blocks[1].temporal_mlp.w2)
+        assert np.array_equal(loaded.head_w, params.head_w)

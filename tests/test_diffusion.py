@@ -53,7 +53,7 @@ class TestSchedule:
 
 class TestForwardProcess:
     def test_hand_arithmetic(self):
-        sched = DiffusionSchedule(1, np.array([0.75]), np.array([0.25]), np.array([0.25]), "linear")
+        sched = DiffusionSchedule(1, np.array([0.75]), np.array([0.25]))
         out = forward_diffuse(np.full((1, 1, 1), 2.0), 1, np.ones((1, 1, 1)), sched)
         assert out[0, 0, 0] == pytest.approx(1.8660254037844386, abs=1e-15)
 

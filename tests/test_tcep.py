@@ -1,10 +1,14 @@
 """Temporal mask construction and token refinement."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from htp import tcep
 from htp.core import NEG_INF, RngStream, ShapeError
 from htp.tcep import (
     chain_adjacency,
@@ -131,6 +135,35 @@ class TestSelectTopkMask:
             kth = np.sort(row)[::-1][2]  # third-highest off-diagonal score
             scores[2, 6] = kth + 1.0
             assert select_topk_mask(scores, 3)[2, 6] == 1.0
+
+
+@st.composite
+def tie_heavy_scores(draw):
+    """(scores, top_k): a (F, F) or stacked (2, 2, F, F) score array rounded
+    to a few levels, so that ties straddle the k-th value of many rows."""
+    frames = draw(st.integers(2, 7))
+    lead = draw(st.sampled_from([(), (2, 2)]))
+    levels = draw(st.integers(1, 3))
+    size = frames * frames * (4 if lead else 1)
+    raw = draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))
+    scores = np.round(np.array(raw).reshape(lead + (frames, frames)) * levels) / levels
+    top_k = draw(st.sampled_from([1, frames - 1, frames, frames + 2]) | st.integers(1, frames + 1))
+    return scores, top_k
+
+
+class TestSelectTopkTies:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(tie_heavy_scores())
+    @example((np.zeros((2, 2)), 1))  # F=2, k=1=F-1, one all-tie row each
+    @example((np.round(np.arange(36.0).reshape(6, 6) % 3), 5))  # k=F-1
+    @example((np.ones((2, 2, 5, 5)), 7))  # stacked, k >= F clamps
+    def test_partial_selection_matches_stable_sort_oracle(self, case):
+        scores, top_k = case
+        with mock.patch.object(tcep.log, "warning") as warning:
+            mask = select_topk_mask(scores, top_k)
+        assert warning.call_count == (top_k >= scores.shape[-1])  # one clamp warning per call
+        for index in np.ndindex(scores.shape[:-2]):
+            assert np.array_equal(mask[index], naive_topk_mask(scores[index].tolist(), top_k))
 
 
 class TestMaskSimilarity:
