@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -88,8 +89,18 @@ def _config_from_args(args, keys) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _read_pose(path: str, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a pose CSV that must have the given (J, F, width) shape; a mismatch is a config error."""
+    pose = htp_io.read_pose_csv(path)
+    if pose.shape != shape:
+        raise ConfigError(f"{field}: {path} has shape {pose.shape}, config expects {shape}")
+    return pose
+
+
 def _cmd_generate(args) -> int:
     cfg = _config_from_args(args, ("joints", "frames", "seed"))
+    if not (math.isfinite(args.noise_2d) and args.noise_2d >= 0.0):
+        raise ConfigError(f"noise_2d: must be finite and >= 0 (got {args.noise_2d})")
     pose_3d, pose_2d = generate_synthetic(
         cfg.joints, cfg.frames, cfg.seed, args.kind, cfg.camera_model(), noise_2d=args.noise_2d
     )
@@ -114,24 +125,16 @@ def _cmd_infer(args) -> int:
     if args.oracle_y0 and (args.emit_retained or args.emit_mask):
         raise ConfigError("emit_retained/emit_mask: not available with --oracle-y0 (the network never runs)")
 
-    keypoints = htp_io.read_pose_csv(in_2d)
-    if keypoints.shape != (cfg.joints, cfg.frames, 2):
-        raise ConfigError(
-            f"input_2d: {in_2d} has shape {keypoints.shape}, config expects "
-            f"({cfg.joints}, {cfg.frames}, 2)"
-        )
+    keypoints = _read_pose(in_2d, "input_2d", (cfg.joints, cfg.frames, 2))
+    shape = (cfg.joints, cfg.frames, 3)
+    gt = _read_pose(gt_path, "input_gt", shape) if gt_path else None
 
     den_cfg = cfg.denoiser_config()
     root = RngStream(cfg.seed)
     diagnostics: dict = {}
 
     if args.oracle_y0:
-        oracle = htp_io.read_pose_csv(args.oracle_y0)
-        if oracle.shape != (cfg.joints, cfg.frames, 3):
-            raise ConfigError(
-                f"oracle_y0: {args.oracle_y0} has shape {oracle.shape}, expected "
-                f"({cfg.joints}, {cfg.frames}, 3)"
-            )
+        oracle = _read_pose(args.oracle_y0, "oracle_y0", shape)
 
         def denoise(noisy, t, diag=None):
             return oracle
@@ -147,7 +150,6 @@ def _cmd_infer(args) -> int:
             return denoise_forward(noisy, keypoints, t, den_cfg, params, diagnostics=diag)
 
     sched = build_schedule(cfg.timesteps, cfg.schedule)
-    shape = (cfg.joints, cfg.frames, 3)
     started = time.perf_counter()
     finals = []
     for h in range(cfg.hypotheses):
@@ -175,8 +177,7 @@ def _cmd_infer(args) -> int:
     if args.emit_mask and "temporal_mask" in diagnostics:
         htp_io.write_tensor(args.emit_mask, diagnostics["temporal_mask"])
         print(f"infer: temporal mask -> {args.emit_mask}")
-    if gt_path:
-        gt = htp_io.read_pose_csv(gt_path)
+    if gt is not None:
         print(f"infer: MPJPE vs {gt_path}: {mpjpe(final, gt):.6f} mm")
     if args.time:
         fps = cfg.frames / elapsed if elapsed > 0 else float("inf")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -69,6 +70,8 @@ class RunConfig(DenoiserConfig):
         missing_cam = sorted(set(_CAMERA_KEYS) - set(self.camera))
         if unknown_cam or missing_cam:
             problems.append(f"camera: unknown keys {unknown_cam}, missing keys {missing_cam}")
+        elif not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.camera.values()):
+            problems.append(f"camera: intrinsics must be numbers (got {self.camera})")
         else:
             try:
                 self.camera_model()

@@ -8,8 +8,11 @@ equivalence checks.
 
 from __future__ import annotations
 
+import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from time import perf_counter
 
 import numpy as np
 
@@ -132,10 +135,12 @@ class DenoiserConfig:
             problems.append(f"corr_topk: must be >= 1 (got {self.corr_topk})")
         if not 0 <= self.sparse_blocks <= self.blocks:
             problems.append(f"sparse_blocks: must be in [0, blocks={self.blocks}] (got {self.sparse_blocks})")
-        if self.embed_dim < 1 or self.embed_dim % self.heads != 0:
+        if self.heads < 1:
+            problems.append(f"heads: must be >= 1 (got {self.heads})")
+        if self.embed_dim < 1 or self.embed_dim % max(self.heads, 1) != 0:
             problems.append(f"embed_dim: must be a positive multiple of heads={self.heads} (got {self.embed_dim})")
-        if self.mlp_hidden < 1:
-            problems.append(f"mlp_ratio: hidden width must be >= 1 (got ratio {self.mlp_ratio})")
+        if not math.isfinite(self.embed_dim * self.mlp_ratio) or self.mlp_hidden < 1:
+            problems.append(f"mlp_ratio: hidden width must be finite and >= 1 (got ratio {self.mlp_ratio})")
         if not 0.0 < self.pool_threshold <= 1.0:
             problems.append(f"pool_threshold: must be in (0, 1] (got {self.pool_threshold})")
         if self.frames > 1 and not 1 <= self.knn_k <= self.frames - 1:
@@ -324,11 +329,17 @@ def timestep_embedding(t: int, params: DenoiserParams) -> np.ndarray:
     return linear(gelu(linear(feats, params.time_w1, params.time_b1)), params.time_w2, params.time_b2)
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(name: str, seconds: dict | None):
+    """Re-raise any failure in a pipeline stage as StageError("<name>: ...");
+    record the stage's wall seconds under its name when ``seconds`` is a dict."""
+    start = perf_counter() if seconds is not None else None
     try:
-        return fn(*args, **kwargs)
+        yield
     except Exception as exc:
         raise StageError(f"{name}: {exc}") from exc
+    if seconds is not None:
+        seconds[name] = perf_counter() - start
 
 
 def denoise_forward(
@@ -339,49 +350,47 @@ def denoise_forward(
     params: DenoiserParams,
     diagnostics: dict | None = None,
 ) -> np.ndarray:
-    """Predict the clean (J, F, 3) pose sequence from a noisy one.
-
-    When ``diagnostics`` is a dict it receives the temporal mask and the
-    retained frame indices of this call.
+    """Predict the clean (J, F, 3) pose sequence from a noisy one, in the
+    stages of ``macs.profile_model``. When ``diagnostics`` is a dict it
+    receives the temporal mask, the retained frame indices and the wall
+    seconds per stage (``stage_seconds``) of this call.
     """
-    stream = _stage("pose_embed", pose_embed, noisy_pose, keypoints_2d, params.embed_w, params.embed_b)
-    stream = _stage("spatial_gcn", spatial_gcn, stream, cfg.joint_graph(), params.gcn_w)
-    stream = stream + params.spatial_pos[:, None, :]
-    stream = _stage("entry_spatial_mhsa", spatial_mhsa, stream, params.entry_attn, params.entry_mlp)
+    seconds = None if diagnostics is None else {}
+    with _stage("pose_embed", seconds):
+        stream = pose_embed(noisy_pose, keypoints_2d, params.embed_w, params.embed_b)
+    with _stage("spatial_gcn", seconds):
+        stream = spatial_gcn(stream, cfg.joint_graph(), params.gcn_w) + params.spatial_pos[:, None, :]
+    with _stage("entry_spatial", seconds):
+        stream = spatial_mhsa(stream, params.entry_attn, params.entry_mlp)
+    with _stage("tcep", seconds):
+        fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
+        stream, mask = tcep_refine(stream, fused, params.tcep_w, cfg.corr_topk)
+    with _stage("timestep_mlp", seconds):
+        stream = stream + params.temporal_pos[None, :, :] + timestep_embedding(t, params)
 
-    fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
-    stream, mask = _stage("tcep", tcep_refine, stream, fused, params.tcep_w, cfg.corr_topk)
-    stream = stream + params.temporal_pos[None, :, :]
-    stream = stream + _stage("timestep_embedding", timestep_embedding, t, params)
+    for i, block in enumerate(params.blocks[: cfg.sparse_blocks]):
+        with _stage(f"block{i}_full", seconds):
+            stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
+            if cfg.recompute_mask_per_block:
+                mask = select_topk_mask(frame_similarity(stream), cfg.corr_topk)
+            if i == 0 or cfg.recompute_mask_per_block:  # a fixed mask is converted once
+                add_mask = to_additive_mask(mask)
+            stream = attention_block(stream, add_mask, block.temporal_attn, block.temporal_mlp)
 
-    add_mask = _stage("temporal_mask", to_additive_mask, mask)
-    for i in range(cfg.sparse_blocks):
-        block = params.blocks[i]
-        stream = _stage(f"block{i}_spatial", spatial_mhsa, stream, block.spatial_attn, block.spatial_mlp)
-        if cfg.recompute_mask_per_block:
-            mask = _stage(f"block{i}_mask", lambda: select_topk_mask(frame_similarity(stream), cfg.corr_topk))
-            add_mask = to_additive_mask(mask)
-        stream = _stage(
-            f"block{i}_temporal", attention_block, stream, add_mask, block.temporal_attn, block.temporal_mlp
-        )
+    with _stage("mgptp", seconds):
+        condensed, indices = prune_frames(stream, mask, cfg.pool_threshold, cfg.knn_k, cfg.keep_frames)
+    for i, block in enumerate(params.blocks[cfg.sparse_blocks :], cfg.sparse_blocks):
+        with _stage(f"block{i}_pruned", seconds):
+            condensed = spatial_mhsa(condensed, block.spatial_attn, block.spatial_mlp)
+            condensed = attention_block(condensed, None, block.temporal_attn, block.temporal_mlp)
 
-    skip = stream  # full-length stream feeding the cross-attention queries
-    condensed, indices = _stage(
-        "mgptp", prune_frames, stream, mask, cfg.pool_threshold, cfg.knn_k, cfg.keep_frames
-    )
-    for i in range(cfg.sparse_blocks, cfg.blocks):
-        block = params.blocks[i]
-        condensed = _stage(f"block{i}_spatial", spatial_mhsa, condensed, block.spatial_attn, block.spatial_mlp)
-        condensed = _stage(
-            f"block{i}_temporal", attention_block, condensed, None, block.temporal_attn, block.temporal_mlp
-        )
-
-    restored = _stage("cross_mhsa", cross_mhsa, skip, condensed, params.cross)
-    out = _stage("head", linear, restored, params.head_w, params.head_b)
+    with _stage("cross_mhsa", seconds):
+        restored = cross_mhsa(stream, condensed, params.cross)  # full-length queries, condensed keys
+    with _stage("head", seconds):
+        out = linear(restored, params.head_w, params.head_b)
 
     if diagnostics is not None:
-        diagnostics["retained_indices"] = indices
-        diagnostics["temporal_mask"] = mask
+        diagnostics.update(retained_indices=indices, temporal_mask=mask, stage_seconds=seconds)
     return out
 
 

@@ -162,6 +162,8 @@ class CameraModel:
     cy: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError(f"camera intrinsics must be finite, got ({self.fx}, {self.fy}, {self.cx}, {self.cy})")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"camera focal lengths must be positive, got ({self.fx}, {self.fy})")
 

@@ -119,7 +119,7 @@ def separation_distance(dist: np.ndarray, response: np.ndarray) -> np.ndarray:
 def cluster_scores(z: np.ndarray, mask: np.ndarray, k: int) -> ClusterState:
     """Run the full clustering chain on pooled frame tokens and mask."""
     dist, _ = masked_distance(z, mask)
-    density = knn_density(dist, k) if z.shape[0] >= 2 else np.ones(1)
+    density = knn_density(dist, k)
     response = response_density(density, mask)
     separation = separation_distance(dist, response)
     return ClusterState(density=density, response=response, separation=separation)

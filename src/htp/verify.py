@@ -670,7 +670,7 @@ def check_sparse_route_matches_naive(rng):
         denoise_forward(rng.normal((2, 40, 3)), rng.normal((2, 40, 2)), 10, cfg, init_params(cfg, seed=2))
         return "forward with an empty mask row did not raise"
     except StageError as exc:
-        if str(exc) != "block0_temporal: empty support":
+        if str(exc) != "block0_full: empty support":
             return f"forward raised {exc}"
     finally:
         htp_denoiser.tcep_refine = saved

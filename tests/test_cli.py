@@ -55,6 +55,15 @@ def generated(tmp_path_factory, tiny_config):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_invalid_noise_is_config_error(self, tmp_path, tiny_config, capsys, noise):
+        out_3d, out_2d = tmp_path / "gt.csv", tmp_path / "obs.csv"
+        code = main(["generate", "--config", tiny_config, f"--noise-2d={noise}",
+                     "--out-3d", str(out_3d), "--out-2d", str(out_2d)])
+        assert code == EXIT_CONFIG
+        assert "noise_2d" in capsys.readouterr().err
+        assert not out_2d.exists()
+
     def test_writes_both_files(self, generated):
         gt, obs = generated
         assert htp_io.read_pose_csv(gt).shape == (4, 12, 3)
@@ -127,6 +136,21 @@ class TestInfer:
         result = run_cli("infer", "--config", tiny_config, "--in-2d", gt, "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
         assert "config error" in result.stderr
+
+    def test_ground_truth_shape_checked_before_sampling(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
+        _, obs = generated
+        gt = tmp_path / "gt_short.csv"
+        htp_io.write_pose_csv(gt, np.zeros((TINY["joints"], TINY["frames"] - 1, 3)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer sampled before checking the ground-truth shape")
+
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        out = tmp_path / "x.csv"
+        code = main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(out), "--gt-3d", str(gt)])
+        assert code == EXIT_CONFIG
+        assert "input_gt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path, tiny_config):
         result = run_cli("infer", "--config", tiny_config, "--in-2d", str(tmp_path / "nope.csv"),

@@ -70,6 +70,15 @@ class TestValidation:
             ({"recompute_mask_per_block": "yes"}, "recompute_mask_per_block"),
             ({"joint_adjacency": "abc"}, "joint_adjacency: must be a numeric"),
             ({"joint_adjacency": [[1.0, 0.0], [0.0]]}, "joint_adjacency: must be a numeric"),
+            ({"heads": 0}, "heads: must be >= 1"),
+            ({"heads": -2}, "heads: must be >= 1"),
+            ({"mlp_ratio": float("inf")}, "mlp_ratio: hidden width must be finite"),
+            ({"mlp_ratio": float("-inf")}, "mlp_ratio: hidden width must be finite"),
+            ({"mlp_ratio": float("nan")}, "mlp_ratio: hidden width must be finite"),
+            ({"mlp_ratio": 1e308}, "mlp_ratio: hidden width must be finite"),
+            ({"camera": {"fx": float("nan"), "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera: camera intrinsics must be finite"),
+            ({"camera": {"fx": 1.0, "fy": 1.0, "cx": float("inf"), "cy": 0.0}}, "camera: camera intrinsics must be finite"),
+            ({"camera": {"fx": None, "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera: intrinsics must be numbers"),
         ],
     )
     def test_named_violations(self, overrides, needle):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import htp.denoiser
 from htp.attention import attention_block
 from htp.core import RngStream, gaussian, gelu, linear
 from htp.denoiser import (
@@ -21,7 +22,25 @@ from htp.denoiser import (
     timestep_embedding,
     timestep_features,
 )
+from htp.macs import profile_model
 from htp.verify import naive_gcn
+
+
+# For small_cfg(recompute_mask_per_block=True): a module-global callee of
+# denoise_forward inside each stage, and which call of it falls in that stage.
+STAGE_CALLEES = {
+    "pose_embed": ("pose_embed", 0),
+    "spatial_gcn": ("spatial_gcn", 0),
+    "entry_spatial": ("spatial_mhsa", 0),
+    "tcep": ("tcep_refine", 0),
+    "timestep_mlp": ("timestep_embedding", 0),
+    "block0_full": ("frame_similarity", 0),
+    "block1_full": ("to_additive_mask", 1),
+    "mgptp": ("prune_frames", 0),
+    "block2_pruned": ("spatial_mhsa", 3),
+    "cross_mhsa": ("cross_mhsa", 0),
+    "head": ("linear", 4),  # after pose_embed, spatial_gcn and the two of timestep_embedding
+}
 
 
 def small_cfg(**kw):
@@ -189,6 +208,45 @@ class TestForward:
             denoise_forward(
                 gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, params
             )
+
+    @pytest.mark.parametrize(
+        "stage", [name for name, _ in profile_model(small_cfg(recompute_mask_per_block=True), 1, 1).stages]
+    )
+    def test_injected_failure_is_named_after_its_profile_stage(self, monkeypatch, stage):
+        callee, failing_call = STAGE_CALLEES[stage]
+        original, calls = getattr(htp.denoiser, callee), []
+
+        def fail_once_reached(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call + 1:
+                raise ValueError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(htp.denoiser, callee, fail_once_reached)
+        cfg = small_cfg(recompute_mask_per_block=True)
+        with pytest.raises(StageError) as err:
+            denoise_forward(
+                gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, init_params(cfg, 5)
+            )
+        assert str(err.value) == f"{stage}: injected"
+
+    @pytest.mark.parametrize("recompute", [False, True])
+    @pytest.mark.parametrize("sparse_blocks", [0, 1, 3])
+    def test_stage_seconds_follow_the_profile(self, monkeypatch, sparse_blocks, recompute):
+        cfg = small_cfg(sparse_blocks=sparse_blocks, recompute_mask_per_block=recompute)
+        params = init_params(cfg, 11)
+        y = gaussian(RngStream(20), (4, 10, 3))
+        x = gaussian(RngStream(21), (4, 10, 2))
+        diag = {}
+        timed = denoise_forward(y, x, 30, cfg, params, diag)
+        assert list(diag["stage_seconds"]) == [name for name, _ in profile_model(cfg, 1, 1).stages]
+        assert all(s >= 0.0 for s in diag["stage_seconds"].values())
+
+        def refuse():
+            raise AssertionError("a forward without diagnostics read the clock")
+
+        monkeypatch.setattr(htp.denoiser, "perf_counter", refuse)
+        assert np.array_equal(timed, denoise_forward(y, x, 30, cfg, params))
 
     def test_dense_degenerate_equivalence_small(self):
         cfg = small_cfg(keep_frames=10, corr_topk=9, pool_threshold=1e-9)
