@@ -33,7 +33,6 @@ from .diffusion import (
 )
 from .macs import mask_support_rows, profile_model
 from .synthetic import MOTION_KINDS, generate_synthetic
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_STAGE = 1
@@ -204,6 +203,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all  # verify drives `infer` through main, so import it here, not at load
+
     results = run_all(seed=args.seed, echo=True)
     failures = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)

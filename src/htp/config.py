@@ -57,6 +57,8 @@ class RunConfig(DenoiserConfig):
             problems.append(f"iterations: must be >= 1 (got {self.iterations})")
         if self.timesteps < 1:
             problems.append(f"timesteps: must be >= 1 (got {self.timesteps})")
+        if 1 <= self.timesteps < self.iterations:
+            problems.append(f"iterations: must be <= timesteps={self.timesteps} (got {self.iterations})")
         if not 0.0 <= self.ddim_eta <= 1.0:
             problems.append(f"ddim_eta: must be in [0, 1] (got {self.ddim_eta})")
         if self.schedule not in SCHEDULE_KINDS:

@@ -91,22 +91,17 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(
-    x: np.ndarray,
-    scale: np.ndarray | None = None,
-    shift: np.ndarray | None = None,
-    eps: float = _LN_EPS,
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, scale: np.ndarray | None = None, shift: np.ndarray | None = None) -> np.ndarray:
     """Normalize over the last (feature) axis, then apply optional affine.
 
-    Uses the standard variance + eps formulation, so the normalized variance
-    is v / (v + eps) for a row of variance v.
+    Uses the standard variance + eps formulation (eps = 1e-5), so the
+    normalized variance is v / (v + eps) for a row of variance v.
     """
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     out = x - mean
-    out /= np.sqrt(var + eps)
+    out /= np.sqrt(var + _LN_EPS)
     if scale is not None:
         out *= scale
     if shift is not None:

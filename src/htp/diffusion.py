@@ -130,28 +130,6 @@ def timestep_for_iteration(k: int, iterations: int, total_steps: int) -> int:
     return (2 * total_steps * (iterations - k) + iterations) // (2 * iterations)
 
 
-def run_reverse(
-    denoise_fn,
-    initial: np.ndarray,
-    iterations: int,
-    sched: DiffusionSchedule,
-    ddim_eta: float,
-    rng: RngStream | None,
-) -> np.ndarray:
-    """Full reverse chain from pure noise at t = T down to t = 0.
-
-    denoise_fn(noisy, t) must return the predicted clean sequence.
-    """
-    current = np.asarray(initial, dtype=np.float64)
-    t = sched.total_steps
-    for k in range(1, iterations + 1):
-        t_next = timestep_for_iteration(k, iterations, sched.total_steps)
-        clean_hat = denoise_fn(current, t)
-        current = ddim_step(current, clean_hat, t, t_next, ddim_eta, rng, sched)
-        t = t_next
-    return current
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics in pixels."""

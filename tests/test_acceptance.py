@@ -69,8 +69,10 @@ def test_criterion_3_mgptp_oracle_equivalence():
 
 
 def test_criterion_4_sampler_consistency():
-    """Exact-clean oracle chain at eta 0 reconstructs the target within 1e-8
-    relative (K in {1,5,10}, T=1000); sigma(0.5, 0.75) = sqrt(1/6) +- 1e-12."""
+    """The reverse chain `infer` runs: with the exact-clean oracle stub at eta 0
+    it reconstructs the target within 1e-8 relative (K in {1,5,10}, T=1000),
+    and two eta-0 runs of the network are bitwise equal; sigma(0.5, 0.75) =
+    sqrt(1/6) +- 1e-12."""
     _run("criterion-4 sigma arithmetic", check_ddim_sigma_arithmetic, 15)
     _run("criterion-4 reverse chain", check_sampler_consistency, 16)
 

@@ -189,6 +189,18 @@ class TestInfer:
         assert result.returncode == 2
         assert "iterations" in result.stderr
 
+    def test_more_iterations_than_timesteps_is_config_error(self, tmp_path, tiny_config, generated, monkeypatch,
+                                                             capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer ran the network with an invalid K/T pair")
+
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        _, obs = generated
+        code = main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(tmp_path / "x.csv"),
+                     "--K", "20", "--T", "10"])
+        assert code == EXIT_CONFIG
+        assert "iterations: must be <= timesteps=10" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_table_and_json(self, tmp_path):

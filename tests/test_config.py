@@ -79,6 +79,7 @@ class TestValidation:
             ({"camera": {"fx": float("nan"), "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera: camera intrinsics must be finite"),
             ({"camera": {"fx": 1.0, "fy": 1.0, "cx": float("inf"), "cy": 0.0}}, "camera: camera intrinsics must be finite"),
             ({"camera": {"fx": None, "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera: intrinsics must be numbers"),
+            ({"iterations": 20, "timesteps": 10}, "iterations: must be <= timesteps=10"),
         ],
     )
     def test_named_violations(self, overrides, needle):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from htp.core import RngStream, ShapeError, gaussian
+from htp.core import RngStream, ShapeError
 from htp.diffusion import (
     CameraModel,
     DiffusionSchedule,
@@ -16,7 +16,6 @@ from htp.diffusion import (
     jpma_aggregate,
     mpjpe,
     predict_eps,
-    run_reverse,
     timestep_for_iteration,
 )
 from htp.verify import naive_jpma
@@ -114,35 +113,10 @@ class TestDdim:
         with pytest.raises(ValueError):
             ddim_step(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 3, 1, 1.5, None, sched)
 
-    def test_oracle_chain_reconstructs_target(self):
-        sched = build_schedule(1000)
-        y0 = RngStream(5).normal((2, 4, 3)) * 25
-        for iterations in (1, 5, 10):
-            start = gaussian(RngStream(6), y0.shape)
-            out = run_reverse(lambda noisy, t: y0, start, iterations, sched, 0.0, None)
-            assert np.linalg.norm(out - y0) / np.linalg.norm(y0) < 1e-8
-
-    def test_deterministic_at_eta_zero(self):
-        sched = build_schedule(100)
-        y0 = RngStream(7).normal((1, 3, 3))
-        start = gaussian(RngStream(8), y0.shape)
-        fn = lambda noisy, t: y0 + 0.05 * noisy
-        assert np.array_equal(
-            run_reverse(fn, start, 5, sched, 0.0, None), run_reverse(fn, start, 5, sched, 0.0, None)
-        )
-
     def test_stochastic_step_needs_rng(self):
         sched = build_schedule(10)
         with pytest.raises(ValueError, match="RngStream"):
             ddim_step(np.ones((1, 1, 1)), np.zeros((1, 1, 1)), 5, 2, 1.0, None, sched)
-
-    def test_stochastic_chain_reproducible_by_seed(self):
-        sched = build_schedule(100)
-        y0 = RngStream(9).normal((1, 3, 3))
-        fn = lambda noisy, t: y0
-        a = run_reverse(fn, gaussian(RngStream(10), y0.shape), 5, sched, 1.0, RngStream(11))
-        b = run_reverse(fn, gaussian(RngStream(10), y0.shape), 5, sched, 1.0, RngStream(11))
-        assert np.array_equal(a, b)
 
 
 class TestTimestepRule:
