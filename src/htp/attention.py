@@ -95,12 +95,13 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None
 
 
 def _sparse_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
-    """Masked attention context of split-head q, k, v, computed on the admitted pairs only.
+    """Masked attention context of split-head q, k, v, softmaxed and applied on the admitted pairs only.
 
-    Per leading slice (joint), the scores are gathered at the finite entries
-    of add_mask in row-major (CSR) order, the mask's values there are added,
-    each row segment is softmaxed, and the weights multiply v as a sparse
-    matrix. add_mask has the leading shape of q.
+    Per leading slice (joint), the full (heads, F, F) score matrix is computed
+    and then gathered at the finite entries of add_mask in row-major (CSR)
+    order, the mask's values there are added, each row segment is softmaxed,
+    and the weights multiply v as a sparse matrix. add_mask has the leading
+    shape of q.
     """
     *lead, heads, frames, _ = v.shape
     q /= np.sqrt(q.shape[-1])
@@ -129,8 +130,9 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
 
     add_mask holds {0, -inf} per (..., T, T); None means dense attention.
     A row with no finite entry raises ValueError("empty support"). When fewer
-    than SPARSE_ROUTE_DENSITY of the mask's entries are finite, only those
-    pairs are scored, exponentiated and multiplied.
+    than SPARSE_ROUTE_DENSITY of the mask's entries are finite, the scores
+    are computed for all T x T pairs, but only the finite ones are
+    exponentiated and multiplied.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if add_mask is not None:

@@ -7,12 +7,8 @@ import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .denoiser import DenoiserConfig
+from .denoiser import ConfigError, DenoiserConfig
 from .diffusion import SCHEDULE_KINDS, CameraModel
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration content; message names the field."""
 
 
 _CAMERA_KEYS = ("fx", "fy", "cx", "cy")
@@ -42,12 +38,6 @@ class RunConfig(DenoiserConfig):
     input_2d: str | None = None
     input_gt: str | None = None
     output_3d: str | None = None
-
-    def __post_init__(self):
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def problems(self) -> list[str]:
         problems = super().problems()

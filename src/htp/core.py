@@ -16,8 +16,9 @@ from scipy.special import erf
 
 NEG_INF = float("-inf")
 
-# Masked layers (sft_mhsa, tcep_refine) compute only the admitted pairs when
-# fewer than this fraction of a mask's entries are admitted. Measured
+# Masked layers (sft_mhsa, tcep_refine) softmax and mix only the admitted pairs
+# when fewer than this fraction of a mask's entries are admitted; their scores
+# and similarities are computed for all pairs. Measured
 # crossovers (J=17, D=64, 2 cores, OpenBLAS, float64): sft_mhsa 0.18-0.24 at
 # F=243 and above 0.23 at F=729; tcep_refine 0.13-0.18 at F=243 and about
 # 0.23 at F=729. Below 0.1 the sparse route wins in every case measured.

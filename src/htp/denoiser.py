@@ -74,6 +74,8 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
     adj = np.asarray(adj, dtype=np.float64)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ShapeError(f"normalize_adjacency: expected square matrix, got {adj.shape}")
+    if not np.isfinite(adj).all():
+        raise ValueError("normalize_adjacency: entries must be finite")
     if not np.array_equal(adj, adj.T):
         raise ValueError("normalize_adjacency: adjacency must be symmetric")
     deg = adj.sum(axis=1)
@@ -81,6 +83,10 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
         raise ValueError("normalize_adjacency: every node needs at least one edge (self-loops)")
     inv_sqrt = 1.0 / np.sqrt(deg)
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+class ConfigError(ValueError):
+    """Invalid or unknown configuration content; message names the field."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ class DenoiserConfig:
                 problems.append(f"joint_adjacency: must be a numeric ({self.joints}, {self.joints}) matrix ({exc})")
         problems = problems or self.problems()
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError("; ".join(problems))
 
     def type_problems(self) -> list[str]:
         """One message per field whose value is not of its declared type; only
@@ -148,10 +154,17 @@ class DenoiserConfig:
         if self.temporal_graph not in TEMPORAL_GRAPHS:
             problems.append(f"temporal_graph: must be one of {TEMPORAL_GRAPHS} (got {self.temporal_graph!r})")
         adj = self.joint_adjacency
-        if adj is not None and (adj.shape != (self.joints, self.joints) or not np.array_equal(adj, adj.T)):
-            problems.append(
-                f"joint_adjacency: must be a symmetric ({self.joints}, {self.joints}) matrix (got shape {adj.shape})"
-            )
+        if adj is None:
+            return problems
+        if adj.shape != (self.joints, self.joints):
+            problems.append(f"joint_adjacency: must be a ({self.joints}, {self.joints}) matrix (got shape {adj.shape})")
+        elif not np.isfinite(adj).all():
+            problems.append("joint_adjacency: entries must be finite")
+        elif not np.array_equal(adj, adj.T):
+            problems.append("joint_adjacency: must be symmetric")
+        elif np.any(adj.sum(axis=1) <= 0):
+            rows = np.flatnonzero(adj.sum(axis=1) <= 0).tolist()
+            problems.append(f"joint_adjacency: every row must sum to > 0 (rows {rows} do not)")
         return problems
 
     @property

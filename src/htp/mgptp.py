@@ -11,22 +11,11 @@ All tie rules resolve toward the lower frame index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import NEG_INF, ShapeError, softmax_rows
 
 MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """Intermediate clustering quantities for one frame sequence."""
-
-    density: np.ndarray    # (F,) kNN Gaussian-kernel local density, in (0, 1]
-    response: np.ndarray   # (F,) density weighted by softmax of mask support
-    separation: np.ndarray # (F,) distance to the nearest denser frame
 
 
 def pool_tokens_and_mask(
@@ -116,26 +105,24 @@ def separation_distance(dist: np.ndarray, response: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_scores(z: np.ndarray, mask: np.ndarray, k: int) -> ClusterState:
-    """Run the full clustering chain on pooled frame tokens and mask."""
+def cluster_scores(z: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+    """Run the full clustering chain on pooled frame tokens and mask and
+    return the (F,) saliency: separation * response density."""
     dist, _ = masked_distance(z, mask)
-    density = knn_density(dist, k)
-    response = response_density(density, mask)
-    separation = separation_distance(dist, response)
-    return ClusterState(density=density, response=response, separation=separation)
+    response = response_density(knn_density(dist, k), mask)
+    return separation_distance(dist, response) * response
 
 
-def select_and_prune(tokens: np.ndarray, state: ClusterState, keep: int) -> tuple[np.ndarray, np.ndarray]:
+def select_and_prune(tokens: np.ndarray, saliency: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep the ``keep`` highest-saliency frames in ascending temporal order.
 
-    Saliency is separation * response; ties break toward the lower index.
-    Returns the sliced (J, keep, D) tokens and the sorted frame indices.
+    Ties break toward the lower index. Returns the sliced (J, keep, D)
+    tokens and the sorted frame indices.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     frames = tokens.shape[1]
     if not 1 <= keep <= frames:
         raise ValueError(f"select_and_prune: keep must be in [1, {frames}], got {keep}")
-    saliency = state.separation * state.response
     order = np.argsort(-saliency, kind="stable")[:keep]
     indices = np.sort(order)
     return tokens[:, indices, :], indices
@@ -145,5 +132,5 @@ def prune_frames(
     tokens: np.ndarray, mask: np.ndarray, threshold: float, k: int, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pipeline convenience: pool, cluster, and slice in one call."""
-    state = cluster_scores(*pool_tokens_and_mask(tokens, mask, threshold), k)
-    return select_and_prune(tokens, state, keep)
+    saliency = cluster_scores(*pool_tokens_and_mask(tokens, mask, threshold), k)
+    return select_and_prune(tokens, saliency, keep)

@@ -51,7 +51,16 @@ from .diffusion import (
     timestep_for_iteration,
 )
 from .macs import macs_attention, macs_linear, mask_support_rows, profile_model
-from .mgptp import cluster_scores, masked_distance, pool_tokens_and_mask, prune_frames, response_density, select_and_prune
+from .mgptp import (
+    cluster_scores,
+    knn_density,
+    masked_distance,
+    pool_tokens_and_mask,
+    prune_frames,
+    response_density,
+    select_and_prune,
+    separation_distance,
+)
 from .synthetic import generate_synthetic
 from .tcep import chain_adjacency, frame_similarity, fuse_adjacency, mask_similarity, select_topk_mask, tcep_refine
 
@@ -745,15 +754,14 @@ def check_mgptp_invariants(rng):
         if (~valid & off).any() and valid.any():
             if dist[~valid & off].min() <= dist[valid & off].max():
                 return "masked pair not strictly farther than every valid pair"
-        state = cluster_scores(z, pooled, 3)
-        if np.any(state.density <= 0.0) or np.any(state.density > 1.0):
+        density = knn_density(dist, 3)
+        if np.any(density <= 0.0) or np.any(density > 1.0):
             return "density left (0, 1]"
-        scaled = state.density * 3.7
-        resp_a = state.response
-        resp_b = response_density(scaled, pooled)
+        resp_a = response_density(density, pooled)
+        resp_b = response_density(density * 3.7, pooled)
         if np.argmax(resp_a) != np.argmax(resp_b):
             return "response argmax changed under positive scaling"
-        pruned, indices = select_and_prune(tokens, state, 4)
+        pruned, indices = select_and_prune(tokens, cluster_scores(z, pooled, 3), 4)
         if np.any(np.diff(indices) <= 0):
             return "indices not strictly increasing"
         if not np.array_equal(pruned, tokens[:, indices, :]):
@@ -785,21 +793,15 @@ def check_mgptp_examples(rng):
     if far_s != 1e-6 or dist_s.any():
         return "identical tokens should give zero distances and sentinel 1e-6"
     # kNN density at k=1 on the same line
-    from .mgptp import knn_density
-
     density = knn_density(dist, 1)
     if not np.allclose(density, [math.exp(-9), math.exp(-1), math.exp(-1)], rtol=0, atol=1e-15):
         return "k=1 density mismatch on the line"
     # response density softmax arithmetic
-    from .mgptp import response_density
-
     resp = response_density(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
     expect = np.array([math.exp(2), math.exp(1)]) / (math.exp(2) + math.exp(1))
     if np.max(np.abs(resp - expect)) > 1e-12:
         return "two-frame response density mismatch"
     # separation on strictly decreasing response
-    from .mgptp import separation_distance
-
     sep = separation_distance(dist, np.array([3.0, 2.0, 1.0]))
     if not np.allclose(sep, [4, 3, 1]):
         return "separation hand values wrong"

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from htp.core import RngStream
 from htp.verify import (
     check_attention_dense_equivalence,
@@ -149,6 +151,7 @@ def _smoke_chain(workdir):
     return blobs, ver.stdout, inf.stdout
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_smoke(tmp_path):
     """generate -> infer (H=20, K=10, F=243, J=17, D=64) -> profile -> verify,
     twice, under 10 minutes, with bitwise-identical outputs across runs."""

@@ -30,6 +30,10 @@ TINY = {
     "seed": 7,
 }
 
+INF, NAN = float("inf"), float("nan")
+# Joint graphs that must fail at configuration: non-finite, or a row with no positive weight.
+BAD_ADJACENCIES = [[[INF, 0], [0, 1]], [[NAN, 0], [0, 1]], [[0, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 1], [1, -1]]]
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -230,6 +234,21 @@ class TestProfile:
         path.write_text(json.dumps(bad))
         assert main(["profile", "--config", str(path)]) == EXIT_CONFIG
         assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profile", "infer"])
+    @pytest.mark.parametrize("adj", BAD_ADJACENCIES)
+    def test_bad_joint_graph_is_config_error(self, tmp_path, capsys, monkeypatch, command, adj):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forward pass ran on an invalid joint graph")
+
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**TINY, "joints": 2, "joint_adjacency": adj}))
+        argv = [command, "--config", str(path)]
+        if command == "infer":  # the input need not exist: the config is rejected first
+            argv += ["--in-2d", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: joint_adjacency: " in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

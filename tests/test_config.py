@@ -8,6 +8,8 @@ import pytest
 from htp.config import ConfigError, RunConfig, load_config
 from htp.macs import profile_model
 
+INF, NAN = float("inf"), float("nan")
+
 
 class TestDefaults:
     def test_defaults_validate(self):
@@ -80,6 +82,13 @@ class TestValidation:
             ({"camera": {"fx": 1.0, "fy": 1.0, "cx": float("inf"), "cy": 0.0}}, "camera: camera intrinsics must be finite"),
             ({"camera": {"fx": None, "fy": 1.0, "cx": 0.0, "cy": 0.0}}, "camera: intrinsics must be numbers"),
             ({"iterations": 20, "timesteps": 10}, "iterations: must be <= timesteps=10"),
+            ({"joints": 2, "joint_adjacency": [[1.0]]}, re.escape("joint_adjacency: must be a (2, 2) matrix")),
+            ({"joints": 2, "joint_adjacency": [[INF, 0], [0, 1]]}, "joint_adjacency: entries must be finite"),
+            ({"joints": 2, "joint_adjacency": [[NAN, 0], [0, 1]]}, "joint_adjacency: entries must be finite"),
+            ({"joints": 2, "joint_adjacency": [[1, 1], [0, 1]]}, "joint_adjacency: must be symmetric"),
+            ({"joints": 2, "joint_adjacency": [[0, 0], [0, 0]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [0, 1] do not)")),
+            ({"joints": 2, "joint_adjacency": [[-1, 0], [0, 1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [0] do not)")),
+            ({"joints": 2, "joint_adjacency": [[1, 1], [1, -1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [1] do not)")),
         ],
     )
     def test_named_violations(self, overrides, needle):

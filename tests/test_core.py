@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from htp.core import _GELU_CHUNK, NEG_INF, RngStream, ShapeError, gaussian, gelu, layer_norm, linear, softmax_rows
+from htp.core import (
+    _GELU_CHUNK,
+    NEG_INF,
+    RngStream,
+    ShapeError,
+    gaussian,
+    gelu,
+    layer_norm,
+    linear,
+    segment_softmax,
+    softmax_rows,
+)
 from htp.verify import naive_matmul, naive_softmax
 
 
@@ -50,6 +61,26 @@ class TestSoftmax:
         rows = softmax_rows(x)
         for i in range(3):  # a matrix row and the same row alone, bitwise
             assert np.array_equal(rows[i], softmax_rows(x[i]))
+
+
+class TestSegmentSoftmax:
+    def test_each_segment_matches_naive(self):
+        indptr = np.array([0, 3, 4, 9, 11, 12])  # lengths 3, 1, 5, 2, 1
+        values = RngStream(3).normal((2, 12)) * 4
+        expect = values.copy()
+        out = segment_softmax(values, indptr)
+        for h in range(2):
+            for lo, hi in zip(indptr[:-1], indptr[1:]):
+                assert np.allclose(out[h, lo:hi], naive_softmax(list(expect[h, lo:hi])), rtol=0, atol=1e-15)
+        assert np.all(out[:, [3, 11]] == 1.0)  # a one-entry segment is exactly 1
+
+    def test_in_place(self):
+        values = RngStream(4).normal((3, 6))
+        assert segment_softmax(values, np.array([0, 2, 6])) is values
+
+    def test_empty_segment_raises(self):
+        with pytest.raises(ValueError, match="empty support"):
+            segment_softmax(np.zeros((1, 3)), np.array([0, 2, 2, 3]))
 
 
 class TestGeluLayerNormLinear:

@@ -128,6 +128,13 @@ class TestSpatialStages:
         with pytest.raises(ValueError, match="symmetric"):
             normalize_adjacency(adj)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_gcn_non_finite_rejected(self, value):
+        adj = skeleton_adjacency(3)
+        adj[0, 1] = adj[1, 0] = value
+        with pytest.raises(ValueError, match="normalize_adjacency: entries must be finite"):
+            normalize_adjacency(adj)
+
     def test_spatial_attention_single_joint(self):
         # one joint: softmax over a single token is 1, so output = tokens + v @ wo
         rng = RngStream(6)

@@ -169,9 +169,9 @@ class TestSelectAndPrune:
         rng = RngStream(10)
         tokens = rng.normal((2, 6, 3))
         mask = _random_binary_mask(rng, 2, 6)
-        state = cluster_scores(*pool_tokens_and_mask(tokens, mask, 0.5), 2)
-        _, indices = select_and_prune(tokens, state, 1)
-        assert indices[0] == np.argmax(state.separation * state.response)
+        saliency = cluster_scores(*pool_tokens_and_mask(tokens, mask, 0.5), 2)
+        _, indices = select_and_prune(tokens, saliency, 1)
+        assert indices[0] == np.argmax(saliency)
 
     def test_indices_strictly_increasing_and_bitwise_slice(self):
         rng = RngStream(11)
