@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .core import NEG_INF, SPARSE_ROUTE_DENSITY, ShapeError, gelu, layer_norm, linear, segment_softmax, softmax_rows
+from .core import NEG_INF, ShapeError, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route
 
 
 @dataclass
@@ -97,23 +96,15 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None
 def _sparse_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
     """Masked attention context of split-head q, k, v, softmaxed and applied on the admitted pairs only.
 
-    Per leading slice (joint), the full (heads, F, F) score matrix is computed
-    and then gathered at the finite entries of add_mask in row-major (CSR)
-    order, the mask's values there are added, each row segment is softmaxed,
-    and the weights multiply v as a sparse matrix. add_mask has the leading
-    shape of q.
+    Per leading slice (joint), add_mask is added to the full (heads, F, F) scores as on the dense
+    route, and core.sparse_mix mixes only where it is finite. add_mask has the leading shape of q.
     """
-    *lead, heads, frames, _ = v.shape
     q /= np.sqrt(q.shape[-1])
     ctx = np.empty(v.shape)
-    for idx in np.ndindex(*lead):
-        rows, cols = np.nonzero(np.isfinite(add_mask[idx]))
-        indptr = np.searchsorted(rows, np.arange(frames + 1))
-        probs = (q[idx] @ np.swapaxes(k[idx], -1, -2))[:, rows, cols]
-        probs += add_mask[idx][rows, cols]
-        segment_softmax(probs, indptr)
-        for h in range(heads):
-            ctx[idx + (h,)] = csr_matrix((probs[h], cols, indptr), shape=(frames, frames)) @ v[idx + (h,)]
+    for idx in np.ndindex(*v.shape[:-3]):
+        scores = q[idx] @ np.swapaxes(k[idx], -1, -2)
+        scores += add_mask[idx]
+        ctx[idx] = sparse_mix(scores, np.isfinite(add_mask[idx]), v[idx])
     return ctx
 
 
@@ -129,10 +120,8 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
     add_mask holds {0, -inf} per (..., T, T); None means dense attention.
-    A row with no finite entry raises ValueError("empty support"). When fewer
-    than SPARSE_ROUTE_DENSITY of the mask's entries are finite, the scores
-    are computed for all T x T pairs, but only the finite ones are
-    exponentiated and multiplied.
+    A row with no finite entry raises ValueError("empty support"). When core.sparse_route
+    finds the finite entries sparse, only they are exponentiated and multiplied.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if add_mask is not None:
@@ -145,7 +134,7 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     q = _split_heads(linear(x, w.wq), w.heads)
     k = _split_heads(linear(x, w.wk), w.heads)
     v = _split_heads(linear(x, w.wv), w.heads)
-    if add_mask is not None and np.count_nonzero(np.isfinite(add_mask)) < SPARSE_ROUTE_DENSITY * add_mask.size:
+    if add_mask is not None and sparse_route(np.isfinite(add_mask)):
         ctx = _sparse_context(q, k, v, np.broadcast_to(add_mask, q.shape[:-3] + add_mask.shape[-2:]))
     else:
         ctx = _attention_weights(q, k, add_mask) @ v

@@ -1,4 +1,4 @@
-"""Dense numeric substrate: masked softmax, GELU, LayerNorm, affine maps, seeded RNG.
+"""Numeric substrate: masked dense and sparse softmax, GELU, LayerNorm, affine maps, seeded RNG.
 
 All functions operate on float64 numpy arrays and are pure. Matrices are
 row-major 2-D arrays, token tensors are 3-D (joints x frames x features).
@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import erf
 
 NEG_INF = float("-inf")
 
-# Masked layers (sft_mhsa, tcep_refine) softmax and mix only the admitted pairs
-# when fewer than this fraction of a mask's entries are admitted; their scores
-# and similarities are computed for all pairs. Measured
-# crossovers (J=17, D=64, 2 cores, OpenBLAS, float64): sft_mhsa 0.18-0.24 at
-# F=243 and above 0.23 at F=729; tcep_refine 0.13-0.18 at F=243 and about
-# 0.23 at F=729. Below 0.1 the sparse route wins in every case measured.
+# Routing rule of both masked layers (sft_mhsa, tcep_refine), held by
+# sparse_route alone: below this fraction of admitted entries, sparse_mix
+# softmaxes and mixes only the admitted pairs. Measured crossovers (J=17, D=64,
+# 2 cores, OpenBLAS, float64): sft_mhsa 0.18-0.24 at F=243 and above 0.23 at
+# F=729; tcep_refine 0.13-0.18 at F=243 and about 0.23 at F=729. Below 0.1 the
+# sparse route wins in every case measured.
 SPARSE_ROUTE_DENSITY = 0.1
 
 _LN_EPS = 1e-5
@@ -54,21 +55,32 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def segment_softmax(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Softmax, in place, of each row segment values[..., indptr[i]:indptr[i + 1]].
+def sparse_route(admitted: np.ndarray) -> bool:
+    """True when fewer than SPARSE_ROUTE_DENSITY of the entries of ``admitted`` are set."""
+    return np.count_nonzero(admitted) < SPARSE_ROUTE_DENSITY * admitted.size
 
-    ``values`` holds the admitted entries of every row in CSR order along its
-    last axis; leading axes (heads) are independent. Raises
-    ValueError("empty support") when a row has no entry.
+
+def sparse_mix(scores: np.ndarray, admitted: np.ndarray, values: np.ndarray, gate: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of (..., F, F) scores over each row's admitted pairs, times gate there, applied to (..., F, D) values.
+
+    ``admitted`` is a boolean (F, F) matrix shared by the leading (head) axes, read in CSR order
+    with one sparse product per leading index. Raises ValueError("empty support") for an empty row.
     """
+    rows, cols = np.nonzero(admitted)
+    indptr = np.searchsorted(rows, np.arange(admitted.shape[0] + 1))
     counts = np.diff(indptr)
     if np.any(counts == 0):
         raise ValueError("empty support")
-    starts = indptr[:-1]
-    values -= np.repeat(np.maximum.reduceat(values, starts, axis=-1), counts, axis=-1)
-    np.exp(values, out=values)
-    values /= np.repeat(np.add.reduceat(values, starts, axis=-1), counts, axis=-1)
-    return values
+    probs = scores[..., rows, cols]
+    probs -= np.repeat(np.maximum.reduceat(probs, indptr[:-1], axis=-1), counts, axis=-1)
+    np.exp(probs, out=probs)
+    probs /= np.repeat(np.add.reduceat(probs, indptr[:-1], axis=-1), counts, axis=-1)
+    if gate is not None:
+        probs *= gate[rows, cols]
+    out = np.empty(values.shape)
+    for idx in np.ndindex(*values.shape[:-2]):
+        out[idx] = csr_matrix((probs[idx], cols, indptr), shape=admitted.shape) @ values[idx]
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

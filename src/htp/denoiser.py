@@ -385,6 +385,7 @@ def denoise_forward(
         with _stage(f"block{i}_full", seconds):
             stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
             if cfg.recompute_mask_per_block:
+                mask = add_mask = None  # free the previous block's pair before building the next
                 mask = select_topk_mask(frame_similarity(stream), cfg.corr_topk)
             if i == 0 or cfg.recompute_mask_per_block:  # a fixed mask is converted once
                 add_mask = to_additive_mask(mask)
@@ -482,18 +483,18 @@ def save_denoiser_params(path, params: DenoiserParams) -> None:
 
 
 def load_denoiser_params(path, cfg: DenoiserConfig) -> DenoiserParams:
-    """Load a checkpoint and validate every tensor shape against the config."""
+    """Load a checkpoint and validate every tensor's shape against the config and its values as finite."""
     loaded = htp_io.load_checkpoint(path)
     template = _build_params(cfg, lambda shape, fan_in: np.empty(shape))  # every tensor is overwritten below
     expected = _named_tensors(template)
     missing = sorted(set(expected) - set(loaded))
     extra = sorted(set(loaded) - set(expected))
     if missing or extra:
-        raise htp_io.FormatError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+        raise htp_io.FormatError(f"{path}: checkpoint mismatch: missing {missing}, unexpected {extra}")
     for name, arr in expected.items():
         if loaded[name].shape != arr.shape:
-            raise htp_io.FormatError(
-                f"checkpoint tensor {name}: shape {loaded[name].shape}, config expects {arr.shape}"
-            )
+            raise htp_io.FormatError(f"{path}: tensor {name}: shape {loaded[name].shape}, config expects {arr.shape}")
+        if not np.isfinite(loaded[name]).all():
+            raise htp_io.FormatError(f"{path}: tensor {name}: non-finite values")
         arr[...] = loaded[name]
     return template

@@ -12,9 +12,8 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .core import NEG_INF, SPARSE_ROUTE_DENSITY, ShapeError, gelu, segment_softmax, softmax_rows
+from .core import NEG_INF, ShapeError, gelu, softmax_rows, sparse_mix, sparse_route
 
 log = logging.getLogger(__name__)
 
@@ -39,13 +38,17 @@ def fuse_adjacency(base: np.ndarray, learned: np.ndarray) -> np.ndarray:
 
 
 def frame_similarity(tokens: np.ndarray) -> np.ndarray:
-    """Scaled frame-by-frame similarity: one (F, F) matrix per (F, D) slice of (..., F, D) tokens."""
-    tokens = np.asarray(tokens, dtype=np.float64)
+    """Scaled frame-by-frame similarity: one (F, F) matrix per (F, D) slice of (..., F, D) tokens.
+
+    Exactly symmetric in one pass (``htp verify`` checks it bitwise): on contiguous tokens numpy runs
+    a @ a^T as BLAS syrk, which mirrors its triangle; a large strided operand would run as gemm, which does not.
+    """
+    tokens = np.ascontiguousarray(tokens, dtype=np.float64)
     if tokens.ndim < 2:
         raise ShapeError(f"frame_similarity: expected (..., F, D), got {tokens.shape}")
-    gram = tokens @ np.swapaxes(tokens, -1, -2) / np.sqrt(tokens.shape[-1])
-    # enforce exact symmetry regardless of the BLAS kernel used
-    return (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    gram = tokens @ np.swapaxes(tokens, -1, -2)
+    gram /= np.sqrt(tokens.shape[-1])
+    return gram
 
 
 def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
@@ -102,8 +105,8 @@ def tcep_refine(
     For each joint: gate the softmax of the masked similarity with the fused
     (F, F) adjacency, mix frames through it, project with the shared (D, D)
     weight, and add the GELU of the update back onto the input tokens. When
-    fewer than SPARSE_ROUTE_DENSITY of the mask's entries are set, only those
-    pairs are softmaxed, gated and mixed.
+    core.sparse_route finds the mask sparse, core.sparse_mix softmaxes, gates
+    and mixes only the admitted pairs of each joint.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -116,14 +119,8 @@ def tcep_refine(
 
     sim = frame_similarity(tokens)
     mask = select_topk_mask(sim, top_k)
-    if np.count_nonzero(mask) < SPARSE_ROUTE_DENSITY * mask.size:
-        mixed = np.empty(tokens.shape)
-        for j in range(joints):
-            rows, cols = np.nonzero(mask[j])
-            indptr = np.searchsorted(rows, np.arange(frames + 1))
-            gated = segment_softmax(sim[j, rows, cols], indptr)
-            gated *= fused[rows, cols]
-            mixed[j] = csr_matrix((gated, cols, indptr), shape=(frames, frames)) @ tokens[j]
+    if sparse_route(mask):
+        mixed = np.stack([sparse_mix(sim[j], mask[j] == 1.0, tokens[j], fused) for j in range(joints)])
     else:
         gated = softmax_rows(mask_similarity(sim, mask))
         gated *= fused

@@ -26,7 +26,7 @@ from . import io as htp_io
 from .attention import AttnWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
 from .cli import main as cli_main
 from .config import DEFAULT_CAMERA, ConfigError, load_config
-from .core import _GELU_CHUNK, NEG_INF, SPARSE_ROUTE_DENSITY, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows
+from .core import _GELU_CHUNK, NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows, sparse_route
 from .denoiser import (
     DenoiserConfig,
     StageError,
@@ -622,7 +622,7 @@ def check_attention_frame_permutation(rng):
 
 def check_sparse_route_matches_naive(rng):
     """Masked attention and TCEP equal their loop oracles on both sides of
-    SPARSE_ROUTE_DENSITY, with a hub row of support F, finite non-zero
+    core.sparse_route, with a hub row of support F, finite non-zero
     additive values, and an empty row that fails by name."""
     joints, frames, dim, heads = 2, 24, 8, 2
     w = _random_attn(rng, dim, heads)
@@ -639,7 +639,7 @@ def check_sparse_route_matches_naive(rng):
         "dense, finite non-zero": np.where(dense == 1.0, values, NEG_INF),
     }
     for name, add in cases.items():
-        if (np.mean(np.isfinite(add)) < SPARSE_ROUTE_DENSITY) != name.startswith("sparse"):
+        if sparse_route(np.isfinite(add)) != name.startswith("sparse"):
             return f"attention, {name}: instance is on the wrong side of the routing density"
         diff = np.max(np.abs(sft_mhsa(tokens, add, w) - naive_attention(tokens, add, w)))
         if diff > 1e-12:
@@ -652,7 +652,7 @@ def check_sparse_route_matches_naive(rng):
         weight = rng.normal((3, 3))
         fast_tokens, fast_mask = tcep_refine(tokens, fused, weight, top_k)
         slow_tokens, slow_mask = naive_tcep_refine(tokens, fused, weight, top_k)
-        if (np.mean(fast_mask) < SPARSE_ROUTE_DENSITY) != routed_sparse or not fast_mask[:, 0].all():
+        if sparse_route(fast_mask) != routed_sparse or not fast_mask[:, 0].all():
             return f"tcep, F={frames}: instance is on the wrong side of the routing density or has no hub row"
         if not np.array_equal(fast_mask, slow_mask):
             return f"tcep, F={frames}: masks differ from the loop oracle"
@@ -1317,6 +1317,32 @@ def check_synthetic_and_camera_loop(rng):
     return ""
 
 
+def check_similarity_exactly_symmetric(rng):
+    """frame_similarity equals its own transpose bitwise, with no symmetrizing
+    pass, on 2-D and (J, F, D) tokens, on swapped and strided views, and at
+    D = 1 and F = 1. At (F, D) = (243, 64) numpy runs a strided operand as a
+    gemm that is not symmetric, so the views check the contiguous copy."""
+    frames, dim = 243, 64
+    wide = rng.normal((3, 2 * frames, 3 * dim))
+    cases = {
+        "2-D": rng.normal((frames, dim)),
+        "(J, F, D)": rng.normal((3, frames, dim)),
+        "swapped (F, D) axes": np.swapaxes(rng.normal((3, dim, frames)), -1, -2),
+        "swapped (J, F) axes": np.swapaxes(rng.normal((frames, 3, dim)), 0, 1),
+        "strided 2-D": wide[0, ::2, ::3],
+        "strided (J, F, D)": wide[:, ::2, ::3],
+        "D = 1": rng.normal((3, frames, 1)),
+        "F = 1": rng.normal((3, 1, dim)),
+    }
+    for name, tokens in cases.items():
+        sim = frame_similarity(tokens)
+        if sim.shape != tokens.shape[:-1] + tokens.shape[-2:-1]:
+            return f"{name}: shape {sim.shape} for tokens {tokens.shape}"
+        if not np.array_equal(sim, np.swapaxes(sim, -1, -2)):
+            return f"{name}: similarity is not exactly symmetric"
+    return ""
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
@@ -1363,6 +1389,7 @@ CHECKS = [
     ("pose_csv_roundtrip", check_pose_csv_roundtrip),
     ("config_rejection", check_config_rejection),
     ("synthetic_and_camera_loop", check_synthetic_and_camera_loop),
+    ("similarity_exactly_symmetric", check_similarity_exactly_symmetric),
 ]
 
 

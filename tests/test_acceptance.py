@@ -18,6 +18,7 @@ import pytest
 
 from htp.core import RngStream
 from htp.verify import (
+    CHECKS,
     check_attention_dense_equivalence,
     check_attention_masked_zero_rowsum,
     check_dense_degenerate_equivalence,
@@ -31,6 +32,23 @@ from htp.verify import (
 )
 
 SEED = 2024
+
+
+def test_verify_checks_keep_their_names_and_order():
+    """Each check draws from RNG child <its position>, so a reordering would re-seed checks."""
+    assert [name for name, _ in CHECKS] == [
+        "softmax_probability_vector", "linear_matches_naive", "gelu_layer_norm_contracts",
+        "rng_determinism_and_moments", "mask_construction_suite", "mask_row_support_upper_bound",
+        "masked_similarity_softmax", "tcep_refine_matches_naive", "tcep_permutation_equivariance",
+        "selection_monotonicity", "attention_dense_equivalence", "attention_masked_zero_rowsum",
+        "attention_frame_permutation", "sparse_route_matches_naive", "ffn_matches_naive", "sparse_macs_hook",
+        "mgptp_oracle_500", "mgptp_invariants", "mgptp_examples", "schedule", "forward_and_eps",
+        "ddim_sigma_arithmetic", "sampler_consistency", "forward_statistics", "timestep_rule", "jpma", "mpjpe",
+        "shape_contract", "dense_degenerate_equivalence", "frame_permutation_sanity", "finite_outputs",
+        "denoiser_determinism", "gcn_matches_naive", "timestep_embedding", "checkpoint_roundtrip",
+        "macs_examples", "macs_acceptance", "htp1_roundtrip", "pose_csv_roundtrip", "config_rejection",
+        "synthetic_and_camera_loop", "similarity_exactly_symmetric",
+    ]
 
 
 def _run(criterion: str, check, index: int) -> None:

@@ -176,6 +176,37 @@ class TestInfer:
         assert main(args) == EXIT_IO == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poison", [INF, NAN])
+    def test_non_finite_checkpoint_exits_3_before_any_forward(self, tmp_path, tiny_config, generated, monkeypatch,
+                                                               capsys, poison):
+        _, obs = generated
+        good, bad = tmp_path / "params.ckpt", tmp_path / "params_bad.ckpt"
+        args = ["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(tmp_path / "x.csv")]
+        assert main(args + ["--save-params", str(good)]) == 0
+        tensors = htp_io.load_checkpoint(good)
+        tensors["block0.spatial.attn.ln_scale"][0] = poison
+        htp_io.save_checkpoint(bad, tensors)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer ran a forward pass on a non-finite checkpoint")
+
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        capsys.readouterr()
+        assert main(args + ["--params", str(bad)]) == EXIT_IO == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "block0.spatial.attn.ln_scale" in err and "non-finite" in err
+
+    def test_checkpoint_shape_mismatch_names_file_and_tensor(self, tmp_path, tiny_config, generated, capsys):
+        _, obs = generated
+        ckpt, narrow = tmp_path / "params.ckpt", tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({**TINY, "embed_dim": 8}))
+        args = ["infer", "--in-2d", obs, "--out", str(tmp_path / "x.csv")]
+        assert main(args + ["--config", tiny_config, "--save-params", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(args + ["--config", str(narrow), "--params", str(ckpt)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{ckpt}: tensor embed.w: shape (5, 16), config expects (5, 8)" in err
+
     def test_failing_stage_exits_1_and_names_it(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("empty support")

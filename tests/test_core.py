@@ -9,14 +9,16 @@ from scipy.special import erf
 from htp.core import (
     _GELU_CHUNK,
     NEG_INF,
+    SPARSE_ROUTE_DENSITY,
     RngStream,
     ShapeError,
     gaussian,
     gelu,
     layer_norm,
     linear,
-    segment_softmax,
     softmax_rows,
+    sparse_mix,
+    sparse_route,
 )
 from htp.verify import naive_matmul, naive_softmax
 
@@ -63,24 +65,65 @@ class TestSoftmax:
             assert np.array_equal(rows[i], softmax_rows(x[i]))
 
 
-class TestSegmentSoftmax:
-    def test_each_segment_matches_naive(self):
-        indptr = np.array([0, 3, 4, 9, 11, 12])  # lengths 3, 1, 5, 2, 1
-        values = RngStream(3).normal((2, 12)) * 4
-        expect = values.copy()
-        out = segment_softmax(values, indptr)
+def _ragged_support(frames=6):
+    """Row lengths 3, 1, 6, 2, 1, 4: one full row and two one-entry rows."""
+    admitted = np.zeros((frames, frames), dtype=bool)
+    for row, cols in enumerate(([0, 2, 5], [3], range(6), [1, 4], [0], [1, 2, 3, 5])):
+        admitted[row, list(cols)] = True
+    return admitted
+
+
+class TestSparseMix:
+    def test_each_row_matches_naive(self):
+        rng = RngStream(3)
+        admitted = _ragged_support()
+        scores, values = 4.0 * rng.normal((2, 6, 6)), rng.normal((2, 6, 3))
+        kept = scores.copy()
+        out = sparse_mix(scores, admitted, values)
+        assert out.shape == values.shape and np.array_equal(scores, kept)  # writes into no input
         for h in range(2):
-            for lo, hi in zip(indptr[:-1], indptr[1:]):
-                assert np.allclose(out[h, lo:hi], naive_softmax(list(expect[h, lo:hi])), rtol=0, atol=1e-15)
-        assert np.all(out[:, [3, 11]] == 1.0)  # a one-entry segment is exactly 1
+            for row in range(6):
+                weights = naive_softmax([v if a else NEG_INF for v, a in zip(scores[h, row], admitted[row])])
+                expect = sum(w * values[h, col] for col, w in enumerate(weights))
+                assert np.allclose(out[h, row], expect, rtol=0, atol=1e-15)
 
-    def test_in_place(self):
-        values = RngStream(4).normal((3, 6))
-        assert segment_softmax(values, np.array([0, 2, 6])) is values
+    def test_one_entry_row_is_its_value_row(self):
+        rng = RngStream(4)
+        admitted = _ragged_support()
+        values = rng.normal((6, 5))
+        out = sparse_mix(rng.normal((6, 6)), admitted, values)
+        assert np.array_equal(out[1], values[3]) and np.array_equal(out[4], values[0])
 
-    def test_empty_segment_raises(self):
+    def test_gate_applies_after_softmax(self):
+        rng = RngStream(5)
+        admitted = _ragged_support()
+        scores, values, gate = rng.normal((6, 6)), rng.normal((6, 4)), rng.uniform(0.0, 1.0, (6, 6))
+        dense = softmax_rows(np.where(admitted, scores, NEG_INF)) * gate @ values
+        assert np.max(np.abs(sparse_mix(scores, admitted, values, gate) - dense)) <= 1e-15
+
+    def test_heads_axis_matches_per_head_calls(self):
+        rng = RngStream(6)
+        admitted = _ragged_support()
+        scores, values = rng.normal((3, 6, 6)), rng.normal((3, 6, 2))
+        out = sparse_mix(scores, admitted, values)
+        for h in range(3):
+            assert np.array_equal(out[h], sparse_mix(scores[h], admitted, values[h]))
+
+    def test_empty_row_raises(self):
+        admitted = _ragged_support()
+        admitted[2] = False
         with pytest.raises(ValueError, match="empty support"):
-            segment_softmax(np.zeros((1, 3)), np.array([0, 2, 2, 3]))
+            sparse_mix(np.zeros((6, 6)), admitted, np.zeros((6, 2)))
+
+
+class TestSparseRoute:
+    def test_exactly_the_density_goes_dense_one_fewer_goes_sparse(self):
+        admitted = np.zeros((2, 10, 10), dtype=bool)
+        assert SPARSE_ROUTE_DENSITY * admitted.size == 20.0
+        admitted.reshape(-1)[:20] = True
+        assert not sparse_route(admitted)
+        admitted.reshape(-1)[19] = False
+        assert sparse_route(admitted)
 
 
 class TestGeluLayerNormLinear:

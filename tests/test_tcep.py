@@ -68,6 +68,20 @@ class TestFrameSimilarity:
         with pytest.raises(ShapeError):
             frame_similarity(np.ones(4))
 
+    def test_one_pass_equals_the_symmetrized_gram_bitwise(self):
+        def symmetrized(tokens):  # the (g + g^T) / 2 pass this function no longer makes
+            gram = tokens @ np.swapaxes(tokens, -1, -2) / np.sqrt(tokens.shape[-1])
+            return (gram + np.swapaxes(gram, -1, -2)) / 2.0
+
+        rng = RngStream(29)
+        wide = rng.normal((4, 2 * 243, 3 * 64))
+        batched = rng.normal((17, 243, 64))
+        for tokens in (batched, batched[0], wide[:, ::2, ::3], wide[1, ::2, ::3],
+                       np.swapaxes(rng.normal((3, 64, 243)), -1, -2), np.swapaxes(rng.normal((243, 3, 64)), 0, 1)):
+            # numpy runs a @ a^T on these views as a gemm that is not symmetric, so the
+            # symmetrized reference is taken on the contiguous copy the function makes
+            assert np.array_equal(frame_similarity(tokens), symmetrized(np.ascontiguousarray(tokens)))
+
 
 class TestSelectTopkMask:
     def test_hand_instance(self):
