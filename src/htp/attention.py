@@ -1,6 +1,6 @@
-"""Multi-head self-attention restricted to a binary temporal mask.
+"""Multi-head self-attention restricted to a boolean temporal mask.
 
-The binary mask converts to an additive {0, -inf} mask applied to the
+The mask converts to an additive {0, -inf} mask applied to the
 pre-softmax scores, so excluded positions receive an exactly-zero weight.
 The same machinery runs dense attention (zero mask), the feed-forward
 block, and length-restoring cross attention.
@@ -26,11 +26,6 @@ class AttnWeights:
     heads: int
     ln_scale: np.ndarray
     ln_shift: np.ndarray
-
-    def __post_init__(self):
-        dim = self.wq.shape[0]
-        if dim % self.heads != 0:
-            raise ShapeError(f"attention: dim {dim} not divisible by {self.heads} heads")
 
 
 @dataclass
@@ -61,11 +56,11 @@ class CrossWeights:
 
 
 def to_additive_mask(mask: np.ndarray) -> np.ndarray:
-    """Map a binary mask elementwise: 1 -> 0, 0 -> -inf."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
+    """Map a boolean or 0/1 mask elementwise: 1 -> 0, 0 -> -inf."""
+    mask = np.asarray(mask)
+    if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("mask not binary")
-    return np.where(mask == 1.0, 0.0, NEG_INF)
+    return np.where(mask == 1, 0.0, NEG_INF)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -81,39 +76,53 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*lead, t, heads * dk)
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray:
-    """Softmax of the scaled, masked scores of split-head q and k, (..., heads, Tq, Tk).
+def _project(xq: np.ndarray, xkv: np.ndarray, w: AttnWeights | CrossWeights) -> tuple[np.ndarray, ...]:
+    """Split-head q of the normed query stream and k, v of the normed key/value stream.
 
-    q is scaled in place, before the score product rather than on the Tq x Tk matrix.
+    q is scaled by 1/sqrt(dk) here, before the score product rather than on the Tq x Tk matrix.
     """
+    dim = w.wq.shape[0]
+    if dim % w.heads != 0:
+        raise ShapeError(f"attention: dim {dim} not divisible by {w.heads} heads")
+    q = _split_heads(linear(xq, w.wq), w.heads)
     q /= np.sqrt(q.shape[-1])
+    return q, _split_heads(linear(xkv, w.wk), w.heads), _split_heads(linear(xkv, w.wv), w.heads)
+
+
+def _dense_probs(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of the masked scores of split-head q and k, (..., heads, Tq, Tk)."""
     scores = q @ np.swapaxes(k, -1, -2)
     if add_mask is not None:
         scores += np.expand_dims(add_mask, -3)  # broadcast over heads
     return softmax_rows(scores)
 
 
-def _sparse_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
-    """Masked attention context of split-head q, k, v, softmaxed and applied on the admitted pairs only.
+def _attend(xq: np.ndarray, xkv: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights | CrossWeights) -> np.ndarray:
+    """Multi-head attention of normed queries over normed keys/values, heads merged and projected by wo.
 
-    Per leading slice (joint), add_mask is added to the full (heads, F, F) scores as on the dense
-    route, and core.sparse_mix mixes only where it is finite. add_mask has the leading shape of q.
+    add_mask is None (dense) or {0, -inf} per (..., Tq, Tk). When core.sparse_route finds its finite
+    entries sparse, each leading slice (joint) adds add_mask to its (heads, Tq, Tk) scores as the
+    dense route does, and core.sparse_mix softmaxes and mixes only where it is finite.
     """
-    q /= np.sqrt(q.shape[-1])
-    ctx = np.empty(v.shape)
-    for idx in np.ndindex(*v.shape[:-3]):
-        scores = q[idx] @ np.swapaxes(k[idx], -1, -2)
-        scores += add_mask[idx]
-        ctx[idx] = sparse_mix(scores, np.isfinite(add_mask[idx]), v[idx])
-    return ctx
+    q, k, v = _project(xq, xkv, w)
+    if add_mask is None or not sparse_route(admitted := np.isfinite(add_mask)):
+        ctx = _dense_probs(q, k, add_mask) @ v
+    else:
+        shape = q.shape[:-3] + add_mask.shape[-2:]
+        add_mask, admitted = np.broadcast_to(add_mask, shape), np.broadcast_to(admitted, shape)
+        ctx = np.empty(q.shape)
+        for idx in np.ndindex(*q.shape[:-3]):
+            scores = q[idx] @ np.swapaxes(k[idx], -1, -2)
+            scores += add_mask[idx]
+            ctx[idx] = sparse_mix(scores, admitted[idx], v[idx])
+    return linear(_merge_heads(ctx), w.wo)
 
 
 def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
-    """Per-head post-softmax weights of sft_mhsa, shape (..., heads, T, T)."""
+    """Per-head post-softmax weights of sft_mhsa on the dense route, shape (..., heads, T, T)."""
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
-    q = _split_heads(linear(x, w.wq), w.heads)
-    k = _split_heads(linear(x, w.wk), w.heads)
-    return _attention_weights(q, k, add_mask)
+    q, k, _ = _project(x, x, w)
+    return _dense_probs(q, k, add_mask)
 
 
 def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
@@ -127,18 +136,9 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     if add_mask is not None:
         add_mask = np.asarray(add_mask, dtype=np.float64)
         if add_mask.shape[-2:] != (tokens.shape[-2], tokens.shape[-2]):
-            raise ShapeError(
-                f"sft_mhsa: mask {add_mask.shape} does not match {tokens.shape[-2]} tokens"
-            )
+            raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not match {tokens.shape[-2]} tokens")
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
-    q = _split_heads(linear(x, w.wq), w.heads)
-    k = _split_heads(linear(x, w.wk), w.heads)
-    v = _split_heads(linear(x, w.wv), w.heads)
-    if add_mask is not None and sparse_route(np.isfinite(add_mask)):
-        ctx = _sparse_context(q, k, v, np.broadcast_to(add_mask, q.shape[:-3] + add_mask.shape[-2:]))
-    else:
-        ctx = _attention_weights(q, k, add_mask) @ v
-    return linear(_merge_heads(ctx), w.wo) + tokens
+    return _attend(x, x, add_mask, w) + tokens
 
 
 def ffn_block(tokens: np.ndarray, mlp: MlpWeights) -> np.ndarray:
@@ -163,12 +163,6 @@ def cross_mhsa(full: np.ndarray, condensed: np.ndarray, w: CrossWeights) -> np.n
     if condensed.shape[-2] < 1:
         raise ShapeError("cross_mhsa: condensed stream is empty")
     if full.shape[-1] != condensed.shape[-1]:
-        raise ShapeError(
-            f"cross_mhsa: feature dims differ: {full.shape} vs {condensed.shape}"
-        )
-    q = _split_heads(linear(layer_norm(full, w.ln_q_scale, w.ln_q_shift), w.wq), w.heads)
+        raise ShapeError(f"cross_mhsa: feature dims differ: {full.shape} vs {condensed.shape}")
     kv_in = layer_norm(condensed, w.ln_kv_scale, w.ln_kv_shift)
-    k = _split_heads(linear(kv_in, w.wk), w.heads)
-    v = _split_heads(linear(kv_in, w.wv), w.heads)
-    ctx = _attention_weights(q, k, None) @ v
-    return linear(_merge_heads(ctx), w.wo) + full
+    return _attend(layer_norm(full, w.ln_q_scale, w.ln_q_shift), kv_in, None, w) + full

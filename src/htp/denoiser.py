@@ -423,7 +423,7 @@ def dense_reference_forward(
     stream = spatial_mhsa(stream, params.entry_attn, params.entry_mlp)
 
     fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
-    full_mask = np.ones((cfg.joints, cfg.frames, cfg.frames))
+    full_mask = np.ones((cfg.joints, cfg.frames, cfg.frames), dtype=bool)
     stream, _ = tcep_refine(stream, fused, params.tcep_w, cfg.frames - 1 if cfg.frames > 1 else 1)
     stream = stream + params.temporal_pos[None, :, :]
     stream = stream + timestep_embedding(t, params)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import zipfile
 from pathlib import Path
@@ -39,7 +40,7 @@ def _decode_tensor(raw: bytes, name: str) -> np.ndarray:
     except struct.error:
         raise FormatError(f"{name}: truncated header") from None
     off = 8 + 8 * rank
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)
     payload = raw[off:]
     if len(payload) != count * 8:
         raise FormatError(f"{name}: payload is {len(payload)} bytes, expected {count * 8}")

@@ -22,18 +22,18 @@ def pool_tokens_and_mask(
     tokens: np.ndarray, mask: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average (J, F, D) tokens and (J, F, F) masks over the joint axis into
-    (F, D) tokens and a binarized (F, F) mask.
+    (F, D) tokens and a boolean (F, F) mask.
 
-    threshold is in (0, 1]; a pooled entry becomes 1 iff its average >= threshold.
-    The diagonal stays 1 because every per-joint mask carries self-loops.
+    threshold is in (0, 1]; a pooled entry is True iff its average >= threshold.
+    The diagonal stays True because every per-joint mask carries self-loops.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask)
     if tokens.ndim != 3 or mask.ndim != 3:
         raise ShapeError(f"pool_tokens_and_mask: expected 3-D inputs, got {tokens.shape}, {mask.shape}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"pool_tokens_and_mask: threshold must be in (0, 1], got {threshold}")
-    return tokens.mean(axis=0), (mask.mean(axis=0) >= threshold).astype(np.float64)
+    return tokens.mean(axis=0), mask.mean(axis=0) >= threshold
 
 
 def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
@@ -49,7 +49,7 @@ def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]
         raw[p] = np.sqrt(((z - z[p]) ** 2).sum(axis=1))
     raw /= np.sqrt(dim)
     far = float(raw.max()) + MASK_MARGIN
-    dist = np.where(mask == 1.0, raw, far)
+    dist = np.where(mask == 1, raw, far)
     return dist, far
 
 
@@ -74,11 +74,11 @@ def knn_density(dist: np.ndarray, k: int) -> np.ndarray:
 def response_density(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Weight local density by the softmax of per-frame mask support.
 
-    Support is always >= 1 thanks to self-loops; the zero-support branch is
-    kept for contract fidelity but is unreachable.
+    Self-loops keep support >= 1 on the forward path; only a caller's mask with
+    an empty row reaches the zero-support branch, which gives that frame 0.
     """
     density = np.asarray(density, dtype=np.float64)
-    support = np.asarray(mask, dtype=np.float64).sum(axis=1)
+    support = np.asarray(mask).sum(axis=1)
     if density.shape != support.shape:
         raise ShapeError(f"response_density: lengths differ: {density.shape} vs {support.shape}")
     stability = np.where(support > 0, support, NEG_INF)

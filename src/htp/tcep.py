@@ -2,7 +2,7 @@
 
 Per joint, frames are scored by scaled dot-product similarity, each frame
 keeps its top-k most correlated neighbors, and the directed selection is
-symmetrized (logical OR) with self-loops restored. The resulting binary
+symmetrized (logical OR) with self-loops restored. The resulting boolean
 mask gates a softmax-normalized similarity that is fused with a shared
 temporal adjacency to refine the tokens in place of dense temporal mixing.
 """
@@ -52,7 +52,7 @@ def frame_similarity(tokens: np.ndarray) -> np.ndarray:
 
 
 def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Binary frame masks: self-loops plus OR-symmetrized per-row top-k selection.
+    """Boolean frame masks: self-loops plus OR-symmetrized per-row top-k selection.
 
     ``scores`` is (..., F, F); every trailing (F, F) matrix is masked on its
     own. The diagonal is suppressed during selection; ties break toward the
@@ -62,11 +62,11 @@ def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
         raise ShapeError(f"select_topk_mask: expected (..., F, F) matrices, got {scores.shape}")
-    frames = scores.shape[-1]
-    if frames < 2:
-        return np.ones(scores.shape)
     if top_k < 1:
         raise ValueError(f"select_topk_mask: top_k must be >= 1, got {top_k}")
+    frames = scores.shape[-1]
+    if frames < 2:
+        return np.ones(scores.shape, dtype=bool)
     k = min(top_k, frames - 1)
     if k != top_k:
         log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, k, frames)
@@ -83,24 +83,24 @@ def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
         short = k - np.count_nonzero(flat[m], axis=-1, keepdims=True)
         flat[m] |= ties & (np.cumsum(ties, axis=-1) <= short)  # ties: lower index first
 
-    mask = np.logical_or(directed, np.swapaxes(directed, -1, -2)).astype(np.float64)
-    mask[..., diag, diag] = 1.0
+    mask = directed | np.swapaxes(directed, -1, -2)
+    mask[..., diag, diag] = True
     return mask
 
 
 def mask_similarity(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Keep scores on the mask support, set everything else to -inf."""
+    """Keep scores on the support of a boolean or 0/1 mask, set everything else to -inf."""
     scores = np.asarray(scores, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask)
     if scores.shape != mask.shape:
         raise ShapeError(f"mask_similarity: shapes {scores.shape} and {mask.shape} differ")
-    return np.where(mask == 1.0, scores, NEG_INF)
+    return np.where(mask == 1, scores, NEG_INF)
 
 
 def tcep_refine(
     tokens: np.ndarray, fused: np.ndarray, weight: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refine (J, F, D) tokens and emit the per-joint binary temporal mask.
+    """Refine (J, F, D) tokens and emit the per-joint boolean temporal mask.
 
     For each joint: gate the softmax of the masked similarity with the fused
     (F, F) adjacency, mix frames through it, project with the shared (D, D)
@@ -120,7 +120,7 @@ def tcep_refine(
     sim = frame_similarity(tokens)
     mask = select_topk_mask(sim, top_k)
     if sparse_route(mask):
-        mixed = np.stack([sparse_mix(sim[j], mask[j] == 1.0, tokens[j], fused) for j in range(joints)])
+        mixed = np.stack([sparse_mix(sim[j], mask[j], tokens[j], fused) for j in range(joints)])
     else:
         gated = softmax_rows(mask_similarity(sim, mask))
         gated *= fused

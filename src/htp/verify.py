@@ -23,7 +23,7 @@ import numpy as np
 
 from . import denoiser as htp_denoiser
 from . import io as htp_io
-from .attention import AttnWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
+from .attention import AttnWeights, CrossWeights, MlpWeights, attention_probs, ffn_block, sft_mhsa, to_additive_mask
 from .cli import main as cli_main
 from .config import DEFAULT_CAMERA, ConfigError, load_config
 from .core import _GELU_CHUNK, NEG_INF, RngStream, gaussian, gelu, layer_norm, linear, softmax_rows, sparse_route
@@ -149,31 +149,53 @@ def _naive_layer_norm(row, scale, shift, eps=1e-5):
     return [(v - mean) / math.sqrt(var + eps) * s + b for v, s, b in zip(row, scale, shift)]
 
 
+def _naive_mha(q, k, v, heads, wo, add_mask=None):
+    """Loop multi-head attention of projected query rows over key/value rows, projected by wo.
+
+    add_mask, when given, is one joint's (Tq, Tk) additive mask.
+    """
+    dim = len(q[0])
+    dk = dim // heads
+    heads_out = np.zeros((len(q), dim))
+    for h in range(heads):
+        lo, hi = h * dk, (h + 1) * dk
+        for p in range(len(q)):
+            scores = []
+            for r in range(len(k)):
+                s = sum(q[p][lo:hi] * k[r][lo:hi]) / math.sqrt(dk)
+                if add_mask is not None:
+                    s = s + add_mask[p][r]
+                scores.append(s)
+            probs = naive_softmax(scores)
+            for r in range(len(k)):
+                heads_out[p, lo:hi] += probs[r] * v[r][lo:hi]
+    return naive_matmul(heads_out, wo)
+
+
 def naive_attention(tokens, add_mask, w: AttnWeights):
     """Loop reimplementation of masked MHSA with residual; tokens is (J, F, D)."""
-    joints, frames, dim = tokens.shape
-    dk = dim // w.heads
+    joints, frames, _ = tokens.shape
     out = np.zeros_like(tokens)
     for j in range(joints):
         normed = [np.array(_naive_layer_norm(list(tokens[j, p]), w.ln_scale, w.ln_shift)) for p in range(frames)]
         q = [naive_matmul([normed[p]], w.wq)[0] for p in range(frames)]
         k = [naive_matmul([normed[p]], w.wk)[0] for p in range(frames)]
         v = [naive_matmul([normed[p]], w.wv)[0] for p in range(frames)]
-        heads_out = np.zeros((frames, dim))
-        for h in range(w.heads):
-            lo, hi = h * dk, (h + 1) * dk
-            for p in range(frames):
-                scores = []
-                for r in range(frames):
-                    s = sum(q[p][lo:hi] * k[r][lo:hi]) / math.sqrt(dk)
-                    if add_mask is not None:
-                        s = s + add_mask[j, p, r]
-                    scores.append(s)
-                probs = naive_softmax(scores)
-                for r in range(frames):
-                    heads_out[p, lo:hi] += probs[r] * v[r][lo:hi]
-        projected = naive_matmul(heads_out, w.wo)
-        out[j] = tokens[j] + projected
+        out[j] = tokens[j] + _naive_mha(q, k, v, w.heads, w.wo, None if add_mask is None else add_mask[j])
+    return out
+
+
+def naive_cross_attention(full, condensed, w: CrossWeights):
+    """Loop reimplementation of cross attention with residual: (J, F, D) queries over (J, f, D) keys/values."""
+    joints, frames, _ = full.shape
+    out = np.zeros_like(full)
+    for j in range(joints):
+        normed_q = [_naive_layer_norm(list(full[j, p]), w.ln_q_scale, w.ln_q_shift) for p in range(frames)]
+        normed_kv = [_naive_layer_norm(list(row), w.ln_kv_scale, w.ln_kv_shift) for row in condensed[j]]
+        q = [naive_matmul([row], w.wq)[0] for row in normed_q]
+        k = [naive_matmul([row], w.wk)[0] for row in normed_kv]
+        v = [naive_matmul([row], w.wv)[0] for row in normed_kv]
+        out[j] = full[j] + _naive_mha(q, k, v, w.heads, w.wo)
     return out
 
 

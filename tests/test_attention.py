@@ -15,8 +15,15 @@ from htp.attention import (
     sft_mhsa,
     to_additive_mask,
 )
-from htp.core import NEG_INF, RngStream
-from htp.verify import _random_attn, _random_binary_mask, _random_mlp, naive_attention, naive_ffn
+from htp.core import NEG_INF, RngStream, ShapeError
+from htp.verify import (
+    _random_attn,
+    _random_binary_mask,
+    _random_mlp,
+    naive_attention,
+    naive_cross_attention,
+    naive_ffn,
+)
 
 
 class TestAdditiveMask:
@@ -36,6 +43,14 @@ class TestAdditiveMask:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="mask not binary"):
             to_additive_mask(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_boolean_and_float_masks_agree(self):
+        mask = _random_binary_mask(RngStream(14), 2, 5)
+        from_bool = to_additive_mask(mask.astype(bool))
+        assert from_bool.dtype == np.float64
+        assert np.array_equal(from_bool, to_additive_mask(mask))
+        with pytest.raises(ValueError, match="mask not binary"):
+            to_additive_mask(np.where(mask == 1.0, 2.0, 0.0))
 
 
 class TestMaskedAttention:
@@ -87,6 +102,12 @@ class TestMaskedAttention:
         add[0, 1, :] = NEG_INF  # manually broken row
         with pytest.raises(ValueError, match="empty support"):
             sft_mhsa(tokens, add, _random_attn(rng, 4, 2))
+
+    def test_heads_must_divide_dim(self):
+        rng = RngStream(15)
+        w = _random_attn(rng, 6, 4)
+        with pytest.raises(ShapeError, match="attention: dim 6 not divisible by 4 heads"):
+            sft_mhsa(rng.normal((1, 3, 6)), None, w)
 
     def test_frame_permutation_consistency(self):
         rng = RngStream(7)
@@ -168,3 +189,22 @@ class TestCrossAttention:
         rng = RngStream(13)
         with pytest.raises(ValueError):
             cross_mhsa(rng.normal((1, 4, 4)), rng.normal((1, 0, 4)), self._weights(rng, 4, 2))
+
+    def test_heads_must_divide_dim(self):
+        rng = RngStream(16)
+        eye, ones, zeros = np.eye(6), np.ones(6), np.zeros(6)
+        w = CrossWeights(wq=eye, wk=eye, wv=eye, wo=eye, heads=4, ln_q_scale=ones, ln_q_shift=zeros,
+                         ln_kv_scale=ones, ln_kv_shift=zeros)
+        with pytest.raises(ShapeError, match="attention: dim 6 not divisible by 4 heads"):
+            cross_mhsa(rng.normal((1, 5, 6)), rng.normal((1, 3, 6)), w)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("kept", [1, 3, 6])
+    def test_matches_loop_oracle(self, heads, kept):
+        rng = RngStream(17 + 10 * heads + kept)
+        w = replace(
+            self._weights(rng, 8, heads),
+            ln_kv_scale=1.0 + 0.1 * rng.normal((8,)), ln_kv_shift=0.1 * rng.normal((8,)),
+        )
+        full, condensed = rng.normal((2, 6, 8)), rng.normal((2, kept, 8))
+        assert np.max(np.abs(cross_mhsa(full, condensed, w) - naive_cross_attention(full, condensed, w))) < 1e-12

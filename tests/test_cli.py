@@ -107,6 +107,27 @@ class TestInfer:
         assert mask.shape == (4, 12, 12)
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
+    def test_emitted_mask_is_the_forward_mask_as_float64(self, tmp_path, tiny_config, generated, monkeypatch):
+        # the forward pass hands over a boolean mask; the file keeps the float64 0/1 format
+        _, obs = generated
+        seen = []
+
+        def recording(*args, diagnostics=None, **kwargs):
+            out = htp.denoiser.denoise_forward(*args, diagnostics=diagnostics, **kwargs)
+            if diagnostics is not None:
+                seen.append(diagnostics["temporal_mask"])
+            return out
+
+        monkeypatch.setattr("htp.cli.denoise_forward", recording)
+        mask_path = tmp_path / "mask.htp1"
+        assert main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(tmp_path / "o.csv"),
+                     "--emit-mask", str(mask_path)]) == 0
+        (mask,) = seen
+        assert mask.dtype == bool
+        raw = mask_path.read_bytes()
+        assert raw[8:32] == b"".join(d.to_bytes(8, "little") for d in mask.shape)
+        assert raw[32:] == mask.astype("<f8").tobytes()
+
     def test_oracle_stub_with_deterministic_sampler(self, tmp_path, tiny_config, generated):
         gt, obs = generated
         out = str(tmp_path / "oracle_out.csv")

@@ -207,6 +207,14 @@ class TestForward:
         assert np.all(np.diff(diag["retained_indices"]) > 0)
         assert diag["temporal_mask"].shape == (4, 10, 10)
 
+    def test_temporal_mask_is_boolean(self):
+        cfg = small_cfg()
+        diag = {}
+        denoise_forward(
+            gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, init_params(cfg, 6), diag
+        )
+        assert diag["temporal_mask"].dtype == bool
+
     def test_stage_errors_carry_stage_name(self):
         cfg = small_cfg()
         params = init_params(cfg, 5)

@@ -44,6 +44,14 @@ class TestTensorFormat:
         with pytest.raises(htp_io.FormatError, match="payload"):
             htp_io.read_tensor(path)
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2)])
+    def test_element_count_past_int64_is_format_error(self, tmp_path, dims):
+        # the product of the dims is 2**64: int64 arithmetic would wrap it to 0
+        path = tmp_path / "huge.htp1"
+        path.write_bytes(b"HTP1" + (2).to_bytes(4, "little") + b"".join(d.to_bytes(8, "little") for d in dims))
+        with pytest.raises(htp_io.FormatError, match=rf"{re.escape(str(path))}: .*expected {2**64 * 8}$"):
+            htp_io.read_tensor(path)
+
 
 class TestPoseCsv:
     @pytest.mark.parametrize("width", [2, 3])

@@ -53,6 +53,14 @@ class TestPooling:
         _, pooled = pool_tokens_and_mask(rng.normal((3, 5, 2)), _random_binary_mask(rng, 3, 5), 1.0)
         assert np.all(np.diag(pooled) == 1.0)
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_pooled_mask_is_boolean(self, dtype):
+        rng = RngStream(5)
+        mask = _random_binary_mask(rng, 3, 5)
+        _, pooled = pool_tokens_and_mask(rng.normal((3, 5, 2)), mask.astype(dtype), 0.5)
+        assert pooled.dtype == bool
+        assert np.array_equal(pooled, mask.mean(axis=0) >= 0.5)
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
             pool_tokens_and_mask(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), 0.0)
@@ -132,6 +140,12 @@ class TestResponseAndSeparation:
         expect = np.array([math.exp(2), math.exp(1)]) / (math.exp(2) + math.exp(1))
         assert np.max(np.abs(resp - expect)) < 1e-12
         assert resp[0] == pytest.approx(0.7311, abs=1e-4)
+
+    def test_empty_mask_row_gets_zero_response(self):
+        # unreachable on the forward path (self-loops), reachable from a caller's mask
+        mask = np.eye(3, dtype=bool)
+        mask[1, 1] = False
+        assert np.array_equal(response_density(np.ones(3), mask), [0.5, 0.0, 0.5])
 
     def test_scaling_preserves_argmax(self):
         rng = RngStream(8)

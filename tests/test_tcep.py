@@ -103,6 +103,17 @@ class TestSelectTopkMask:
         assert np.array_equal(select_topk_mask(np.zeros((1, 1)), 3), np.ones((1, 1)))
         assert np.array_equal(select_topk_mask(np.zeros((3, 1, 1)), 3), np.ones((3, 1, 1)))
 
+    @pytest.mark.parametrize("frames", [1, 4])
+    @pytest.mark.parametrize("top_k", [0, -5])
+    def test_top_k_below_one_rejected_at_any_frame_count(self, frames, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            select_topk_mask(np.zeros((frames, frames)), top_k)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1, 1), (5, 5), (2, 6, 6)])
+    def test_mask_is_boolean(self, shape):
+        mask = select_topk_mask(RngStream(8).normal(shape), 2)
+        assert mask.dtype == bool and mask.shape == shape
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             select_topk_mask(np.zeros((2, 3, 4)), 1)
