@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route
+from .core import NEG_INF, ShapeError, admitted_pairs, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route
+
+_PAIR_CHUNK = 1024  # pairs scored per pass: two (1024, D) gathers are 1 MB at D=64
 
 
 @dataclass
@@ -58,9 +60,11 @@ class CrossWeights:
 def to_additive_mask(mask: np.ndarray) -> np.ndarray:
     """Map a boolean or 0/1 mask elementwise: 1 -> 0, 0 -> -inf."""
     mask = np.asarray(mask)
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask not binary")
-    return np.where(mask == 1, 0.0, NEG_INF)
+    if mask.dtype != bool:  # a bool mask is binary by type
+        if not np.all((mask == 0) | (mask == 1)):
+            raise ValueError("mask not binary")
+        mask = mask == 1
+    return np.where(mask, 0.0, NEG_INF)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -77,16 +81,16 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _project(xq: np.ndarray, xkv: np.ndarray, w: AttnWeights | CrossWeights) -> tuple[np.ndarray, ...]:
-    """Split-head q of the normed query stream and k, v of the normed key/value stream.
+    """q of the normed query stream and k, v of the normed key/value stream, heads not yet split.
 
     q is scaled by 1/sqrt(dk) here, before the score product rather than on the Tq x Tk matrix.
     """
     dim = w.wq.shape[0]
     if dim % w.heads != 0:
         raise ShapeError(f"attention: dim {dim} not divisible by {w.heads} heads")
-    q = _split_heads(linear(xq, w.wq), w.heads)
-    q /= np.sqrt(q.shape[-1])
-    return q, _split_heads(linear(xkv, w.wk), w.heads), _split_heads(linear(xkv, w.wv), w.heads)
+    q = linear(xq, w.wq)
+    q /= np.sqrt(dim // w.heads)
+    return q, linear(xkv, w.wk), linear(xkv, w.wv)
 
 
 def _dense_probs(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray:
@@ -94,27 +98,45 @@ def _dense_probs(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray | None) -> n
     scores = q @ np.swapaxes(k, -1, -2)
     if add_mask is not None:
         scores += np.expand_dims(add_mask, -3)  # broadcast over heads
-    return softmax_rows(scores)
+    return softmax_rows(scores, out=scores)
+
+
+def _pair_scores(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray, pairs: tuple, heads: int) -> np.ndarray:
+    """(heads, P) masked scores of one joint's (T, D) q and k at its admitted pairs only.
+
+    The q and k rows of _PAIR_CHUNK pairs are gathered at a time, so the gathered rows stay in cache.
+    """
+    rows, cols, _ = pairs
+    scores = np.empty((heads, len(rows)))
+    for lo in range(0, len(rows), _PAIR_CHUNK):
+        r, c = rows[lo : lo + _PAIR_CHUNK], cols[lo : lo + _PAIR_CHUNK]
+        qr, kc = q[r].reshape(len(r), heads, -1), k[c].reshape(len(r), heads, -1)
+        np.einsum("phd,phd->hp", qr, kc, out=scores[:, lo : lo + _PAIR_CHUNK])
+    scores += add_mask[rows, cols]
+    return scores
 
 
 def _attend(xq: np.ndarray, xkv: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights | CrossWeights) -> np.ndarray:
     """Multi-head attention of normed queries over normed keys/values, heads merged and projected by wo.
 
-    add_mask is None (dense) or {0, -inf} per (..., Tq, Tk). When core.sparse_route finds its finite
-    entries sparse, each leading slice (joint) adds add_mask to its (heads, Tq, Tk) scores as the
-    dense route does, and core.sparse_mix softmaxes and mixes only where it is finite.
+    add_mask is None (dense) or {0, -inf} per (..., Tq, Tk). core.sparse_route picks the route of
+    each leading slice (joint): the dense route adds add_mask to its (heads, Tq, Tk) scores; the
+    sparse route scores only the pairs where add_mask is finite, and core.sparse_mix softmaxes
+    and mixes them.
     """
     q, k, v = _project(xq, xkv, w)
-    if add_mask is None or not sparse_route(admitted := np.isfinite(add_mask)):
-        ctx = _dense_probs(q, k, add_mask) @ v
+    qs, ks, vs = (_split_heads(x, w.heads) for x in (q, k, v))
+    if add_mask is None:
+        ctx = _dense_probs(qs, ks, None) @ vs
     else:
-        shape = q.shape[:-3] + add_mask.shape[-2:]
-        add_mask, admitted = np.broadcast_to(add_mask, shape), np.broadcast_to(admitted, shape)
-        ctx = np.empty(q.shape)
-        for idx in np.ndindex(*q.shape[:-3]):
-            scores = q[idx] @ np.swapaxes(k[idx], -1, -2)
-            scores += add_mask[idx]
-            ctx[idx] = sparse_mix(scores, admitted[idx], v[idx])
+        add_mask = np.broadcast_to(add_mask, q.shape[:-2] + add_mask.shape[-2:])
+        ctx = np.empty(qs.shape)
+        for idx in np.ndindex(*q.shape[:-2]):
+            if sparse_route(admitted := np.isfinite(add_mask[idx])):
+                pairs = admitted_pairs(admitted)
+                ctx[idx] = sparse_mix(_pair_scores(q[idx], k[idx], add_mask[idx], pairs, w.heads), pairs, vs[idx])
+            else:
+                ctx[idx] = _dense_probs(qs[idx], ks[idx], add_mask[idx]) @ vs[idx]
     return linear(_merge_heads(ctx), w.wo)
 
 
@@ -122,18 +144,21 @@ def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeig
     """Per-head post-softmax weights of sft_mhsa on the dense route, shape (..., heads, T, T)."""
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
     q, k, _ = _project(x, x, w)
-    return _dense_probs(q, k, add_mask)
+    return _dense_probs(_split_heads(q, w.heads), _split_heads(k, w.heads), add_mask)
 
 
 def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
-    add_mask holds {0, -inf} per (..., T, T); None means dense attention.
-    A row with no finite entry raises ValueError("empty support"). When core.sparse_route
-    finds the finite entries sparse, only they are exponentiated and multiplied.
+    add_mask holds {0, -inf} per (..., T, T) (a boolean mask goes through to_additive_mask first);
+    None means dense attention. A row with no finite entry raises ValueError("empty support").
+    When core.sparse_route finds a joint's finite entries sparse, only they are scored,
+    exponentiated and multiplied.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if add_mask is not None:
+        if np.asarray(add_mask).dtype == bool:
+            raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
         add_mask = np.asarray(add_mask, dtype=np.float64)
         if add_mask.shape[-2:] != (tokens.shape[-2], tokens.shape[-2]):
             raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not match {tokens.shape[-2]} tokens")

@@ -18,11 +18,14 @@ from scipy.special import erf
 NEG_INF = float("-inf")
 
 # Routing rule of both masked layers (sft_mhsa, tcep_refine), held by
-# sparse_route alone: below this fraction of admitted entries, sparse_mix
-# softmaxes and mixes only the admitted pairs. Measured crossovers (J=17, D=64,
-# 2 cores, OpenBLAS, float64): sft_mhsa 0.18-0.24 at F=243 and above 0.23 at
-# F=729; tcep_refine 0.13-0.18 at F=243 and about 0.23 at F=729. Below 0.1 the
-# sparse route wins in every case measured.
+# sparse_route alone and applied per joint: below this fraction of a joint's
+# admitted entries, only the admitted pairs are scored (sft_mhsa) and
+# sparse_mix softmaxes and mixes them. Measured crossovers with per-pair
+# scores (J=17, D=64, 2 cores, OpenBLAS, float64; random symmetric masks for
+# sft_mhsa, top-k masks for tcep_refine): sft_mhsa 0.06-0.08 at F=243 and
+# 0.10-0.12 at F=729; tcep_refine 0.19-0.25 at F=243 and above 0.125 at F=729.
+# So at F=243 an sft_mhsa joint between 0.06 and 0.1 runs up to 6 % slower
+# sparse than dense; below 0.05 the sparse route wins in every case measured.
 SPARSE_ROUTE_DENSITY = 0.1
 
 _LN_EPS = 1e-5
@@ -39,17 +42,18 @@ def _check_matmul(x: np.ndarray, w: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: cannot multiply shapes {x.shape} and {w.shape}")
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Masked softmax along the last axis of an n-D array (a 1-D vector is one row).
 
     -inf entries map to exactly 0; raises ValueError("empty support") when a
-    row has no finite entry.
+    row has no finite entry. ``out`` (which may be ``x`` itself) receives the
+    result instead of a new array.
     """
     x = np.asarray(x, dtype=np.float64)
     top = np.max(x, axis=-1, keepdims=True)
     if np.any(top == NEG_INF):
         raise ValueError("empty support")
-    e = x - top
+    e = np.subtract(x, top, out=out)
     np.exp(e, out=e)  # in place: one full-size temporary fewer; exp(-inf) == 0.0 exactly
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -60,26 +64,35 @@ def sparse_route(admitted: np.ndarray) -> bool:
     return np.count_nonzero(admitted) < SPARSE_ROUTE_DENSITY * admitted.size
 
 
-def sparse_mix(scores: np.ndarray, admitted: np.ndarray, values: np.ndarray, gate: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of (..., F, F) scores over each row's admitted pairs, times gate there, applied to (..., F, D) values.
+def admitted_pairs(admitted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR pattern ``(rows, cols, indptr)`` of the set entries of a boolean (F, F) matrix, in row-major order.
 
-    ``admitted`` is a boolean (F, F) matrix shared by the leading (head) axes, read in CSR order
-    with one sparse product per leading index. Raises ValueError("empty support") for an empty row.
+    Raises ValueError("empty support") when a row has no set entry.
     """
-    rows, cols = np.nonzero(admitted)
+    flat = np.flatnonzero(admitted)
+    rows, cols = np.divmod(flat, admitted.shape[1])
     indptr = np.searchsorted(rows, np.arange(admitted.shape[0] + 1))
-    counts = np.diff(indptr)
-    if np.any(counts == 0):
+    if np.any(indptr[1:] == indptr[:-1]):
         raise ValueError("empty support")
-    probs = scores[..., rows, cols]
-    probs -= np.repeat(np.maximum.reduceat(probs, indptr[:-1], axis=-1), counts, axis=-1)
+    return rows, cols, indptr
+
+
+def sparse_mix(scores: np.ndarray, pairs: tuple, values: np.ndarray, gate: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of per-pair (..., P) scores over each row's pairs, times gate there, applied to (..., F, D) values.
+
+    ``pairs`` is the ``(rows, cols, indptr)`` of admitted_pairs, shared by the leading (head) axes,
+    with one sparse product per leading index. ``scores`` is read, not written.
+    """
+    rows, cols, indptr = pairs
+    counts = np.diff(indptr)
+    probs = scores - np.repeat(np.maximum.reduceat(scores, indptr[:-1], axis=-1), counts, axis=-1)
     np.exp(probs, out=probs)
     probs /= np.repeat(np.add.reduceat(probs, indptr[:-1], axis=-1), counts, axis=-1)
     if gate is not None:
         probs *= gate[rows, cols]
     out = np.empty(values.shape)
     for idx in np.ndindex(*values.shape[:-2]):
-        out[idx] = csr_matrix((probs[idx], cols, indptr), shape=admitted.shape) @ values[idx]
+        out[idx] = csr_matrix((probs[idx], cols, indptr), shape=(len(counts), len(counts))) @ values[idx]
     return out
 
 

@@ -29,6 +29,7 @@ from .core import RngStream, ShapeError, gelu, linear
 from .mgptp import prune_frames
 from .tcep import (
     chain_adjacency,
+    clamp_topk,
     frame_similarity,
     fuse_adjacency,
     select_topk_mask,
@@ -386,7 +387,8 @@ def denoise_forward(
             stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
             if cfg.recompute_mask_per_block:
                 mask = add_mask = None  # free the previous block's pair before building the next
-                mask = select_topk_mask(frame_similarity(stream), cfg.corr_topk)
+                k = clamp_topk(cfg.corr_topk, cfg.frames)  # one warning per mask build, not per joint
+                mask = np.stack([select_topk_mask(frame_similarity(joint), k) for joint in stream])
             if i == 0 or cfg.recompute_mask_per_block:  # a fixed mask is converted once
                 add_mask = to_additive_mask(mask)
             stream = attention_block(stream, add_mask, block.temporal_attn, block.temporal_mlp)

@@ -16,6 +16,7 @@ import numpy as np
 from .core import NEG_INF, ShapeError, softmax_rows
 
 MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel
+DISTANCE_BLOCK = 16  # rows of masked_distance per pass: a (16, F, D) difference is 6 MB at F=729, D=64
 
 
 def pool_tokens_and_mask(
@@ -44,9 +45,14 @@ def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]
     """
     frames, dim = z.shape
     raw = np.empty((frames, frames))
-    # row by row: a broadcast (F, F, D) difference is 272 MB at F=729, D=64
-    for p in range(frames):
-        raw[p] = np.sqrt(((z - z[p]) ** 2).sum(axis=1))
+    # the upper triangle in row blocks, mirrored: a broadcast (F, F, D) difference is 272 MB at F=729,
+    # D=64, and (a - b)**2 == (b - a)**2 exactly, so the result is that of a row-by-row loop, bitwise
+    for lo in range(0, frames, DISTANCE_BLOCK):
+        hi = min(lo + DISTANCE_BLOCK, frames)
+        diff = z[None, lo:] - z[lo:hi, None]
+        diff *= diff
+        raw[lo:hi, lo:] = np.sqrt(diff.sum(axis=-1))
+        raw[hi:, lo:hi] = raw[lo:hi, hi:].T
     raw /= np.sqrt(dim)
     far = float(raw.max()) + MASK_MARGIN
     dist = np.where(mask == 1, raw, far)

@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, gelu, softmax_rows, sparse_mix, sparse_route
+from .core import NEG_INF, ShapeError, admitted_pairs, gelu, softmax_rows, sparse_mix, sparse_route
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,14 @@ def frame_similarity(tokens: np.ndarray) -> np.ndarray:
     return gram
 
 
+def clamp_topk(top_k: int, frames: int) -> int:
+    """top_k clamped to F - 1 for F >= 2 frames, with one warning when it clamps."""
+    if frames < 2 or top_k < frames:
+        return top_k
+    log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, frames - 1, frames)
+    return frames - 1
+
+
 def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
     """Boolean frame masks: self-loops plus OR-symmetrized per-row top-k selection.
 
@@ -67,21 +75,27 @@ def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
     frames = scores.shape[-1]
     if frames < 2:
         return np.ones(scores.shape, dtype=bool)
-    k = min(top_k, frames - 1)
-    if k != top_k:
-        log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, k, frames)
+    k = clamp_topk(top_k, frames)
 
     diag = np.arange(frames)
     directed = np.empty(scores.shape, dtype=bool)
     flat = directed.reshape(-1, frames, frames)
     for m, matrix in enumerate(scores.reshape(-1, frames, frames)):  # one matrix at a time bounds the temporaries
-        descending = np.negative(matrix)
-        descending[diag, diag] = np.inf  # never pick self
-        kth = np.partition(descending, k - 1, axis=-1)[:, k - 1 : k]
-        ties = descending == kth
-        np.less(descending, kth, out=flat[m])  # fewer than k entries beat the k-th value
-        short = k - np.count_nonzero(flat[m], axis=-1, keepdims=True)
-        flat[m] |= ties & (np.cumsum(ties, axis=-1) <= short)  # ties: lower index first
+        negated = np.negative(matrix)  # ascending negated scores are descending scores
+        negated[diag, diag] = np.inf  # never pick self
+        negated.partition(k - 1, axis=-1)
+        kth = negated[:, k - 1 : k]
+        # negated <= kth in one pass over the scores (negation is exact); self is picked only when kth is inf
+        np.greater_equal(matrix, -kth, out=flat[m])
+        flat[m, diag, diag] = kth[:, 0] == np.inf
+        # a row has k picks, more on ties with its k-th value, or (NaN k-th value) none
+        if np.count_nonzero(flat[m]) > frames * k or np.isnan(kth).any():
+            surplus = np.flatnonzero(np.count_nonzero(flat[m], axis=-1) > k)
+            sub, bound = np.negative(matrix[surplus]), kth[surplus]
+            sub[np.arange(surplus.size), surplus] = np.inf
+            ties = sub == bound
+            short = k - np.count_nonzero(sub < bound, axis=-1, keepdims=True)
+            flat[m, surplus] &= ~ties | (np.cumsum(ties, axis=-1) <= short)  # the lower-index ties only
 
     mask = directed | np.swapaxes(directed, -1, -2)
     mask[..., diag, diag] = True
@@ -104,9 +118,10 @@ def tcep_refine(
 
     For each joint: gate the softmax of the masked similarity with the fused
     (F, F) adjacency, mix frames through it, project with the shared (D, D)
-    weight, and add the GELU of the update back onto the input tokens. When
-    core.sparse_route finds the mask sparse, core.sparse_mix softmaxes, gates
-    and mixes only the admitted pairs of each joint.
+    weight, and add the GELU of the update back onto the input tokens. Each
+    joint's similarity and mask are built and used in turn; when
+    core.sparse_route finds a joint's mask sparse, core.sparse_mix softmaxes,
+    gates and mixes only its admitted pairs.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -117,12 +132,18 @@ def tcep_refine(
     if np.shape(weight) != (dim, dim):
         raise ShapeError(f"tcep_refine: weight {np.shape(weight)} does not match feature dim {dim}")
 
-    sim = frame_similarity(tokens)
-    mask = select_topk_mask(sim, top_k)
-    if sparse_route(mask):
-        mixed = np.stack([sparse_mix(sim[j], mask[j], tokens[j], fused) for j in range(joints)])
-    else:
-        gated = softmax_rows(mask_similarity(sim, mask))
-        gated *= fused
-        mixed = gated @ tokens
+    k = clamp_topk(top_k, frames)  # one warning per mask build, not per joint
+    mask = np.empty((joints, frames, frames), dtype=bool)
+    mixed = np.empty(tokens.shape)
+    for j in range(joints):  # one (F, F) similarity at a time, while it is in cache
+        sim = frame_similarity(tokens[j])
+        mask[j] = select_topk_mask(sim, k)
+        if sparse_route(mask[j]):
+            rows, cols, _ = pairs = admitted_pairs(mask[j])
+            mixed[j] = sparse_mix(sim[rows, cols], pairs, tokens[j], fused)
+        else:
+            gated = mask_similarity(sim, mask[j])
+            softmax_rows(gated, out=gated)
+            gated *= fused
+            mixed[j] = gated @ tokens[j]
     return tokens + gelu(mixed @ weight), mask

@@ -15,7 +15,7 @@ from htp.attention import (
     sft_mhsa,
     to_additive_mask,
 )
-from htp.core import NEG_INF, RngStream, ShapeError
+from htp.core import NEG_INF, RngStream, ShapeError, sparse_route
 from htp.verify import (
     _random_attn,
     _random_binary_mask,
@@ -102,6 +102,27 @@ class TestMaskedAttention:
         add[0, 1, :] = NEG_INF  # manually broken row
         with pytest.raises(ValueError, match="empty support"):
             sft_mhsa(tokens, add, _random_attn(rng, 4, 2))
+
+    def test_boolean_mask_rejected(self):
+        # a boolean mask read as float is a 0/1 score bias that admits every pair
+        rng = RngStream(16)
+        mask = _random_binary_mask(rng, 2, 12).astype(bool)
+        with pytest.raises(ValueError, match="dtype bool.*to_additive_mask"):
+            sft_mhsa(rng.normal((2, 12, 8)), mask, _random_attn(rng, 8, 2))
+
+    def test_one_sparse_and_one_dense_joint_match_loop_oracle(self):
+        rng = RngStream(17)
+        frames = 24
+        w = _random_attn(rng, 8, 2)
+        tokens = rng.normal((2, frames, 8))
+        mask = np.empty((2, frames, frames), dtype=bool)
+        mask[0] = np.eye(frames, dtype=bool)
+        mask[0, 0] = mask[0, 5, [3, 11]] = True  # a hub row of support F
+        mask[1] = _random_binary_mask(rng, 1, frames)[0] == 1.0
+        add = to_additive_mask(mask)
+        add[0, 0] = np.where(mask[0, 0], rng.normal((frames,)), NEG_INF)  # finite non-zero values on the hub row
+        assert [sparse_route(m) for m in mask] == [True, False]
+        assert np.max(np.abs(sft_mhsa(tokens, add, w) - naive_attention(tokens, add, w))) < 1e-12
 
     def test_heads_must_divide_dim(self):
         rng = RngStream(15)

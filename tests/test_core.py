@@ -12,6 +12,7 @@ from htp.core import (
     SPARSE_ROUTE_DENSITY,
     RngStream,
     ShapeError,
+    admitted_pairs,
     gaussian,
     gelu,
     layer_norm,
@@ -73,14 +74,39 @@ def _ragged_support(frames=6):
     return admitted
 
 
+def _mix(scores, admitted, values, gate=None):
+    """sparse_mix of dense (..., F, F) scores, read at the pairs of ``admitted``."""
+    rows, cols, _ = pairs = admitted_pairs(admitted)
+    return sparse_mix(scores[..., rows, cols], pairs, values, gate)
+
+
+class TestAdmittedPairs:
+    @pytest.mark.parametrize("frames", [1, 2, 7, 40])
+    def test_matches_two_d_nonzero_in_row_major_order(self, frames):
+        admitted = RngStream(frames).uniform(0.0, 1.0, (frames, frames)) < 0.3
+        admitted[np.arange(frames), np.arange(frames)] = True
+        rows, cols, indptr = admitted_pairs(admitted)
+        expect_rows, expect_cols = np.nonzero(admitted)
+        assert np.array_equal(rows, expect_rows) and np.array_equal(cols, expect_cols)
+        assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(admitted.sum(axis=1))]))
+
+    def test_empty_row_raises(self):
+        admitted = _ragged_support()
+        admitted[5] = False
+        with pytest.raises(ValueError, match="empty support"):
+            admitted_pairs(admitted)
+
+
 class TestSparseMix:
     def test_each_row_matches_naive(self):
         rng = RngStream(3)
         admitted = _ragged_support()
         scores, values = 4.0 * rng.normal((2, 6, 6)), rng.normal((2, 6, 3))
-        kept = scores.copy()
-        out = sparse_mix(scores, admitted, values)
-        assert out.shape == values.shape and np.array_equal(scores, kept)  # writes into no input
+        rows, cols, _ = pairs = admitted_pairs(admitted)
+        picked = scores[..., rows, cols]
+        kept = picked.copy()
+        out = sparse_mix(picked, pairs, values)
+        assert out.shape == values.shape and np.array_equal(picked, kept)  # writes into no input
         for h in range(2):
             for row in range(6):
                 weights = naive_softmax([v if a else NEG_INF for v, a in zip(scores[h, row], admitted[row])])
@@ -91,7 +117,7 @@ class TestSparseMix:
         rng = RngStream(4)
         admitted = _ragged_support()
         values = rng.normal((6, 5))
-        out = sparse_mix(rng.normal((6, 6)), admitted, values)
+        out = _mix(rng.normal((6, 6)), admitted, values)
         assert np.array_equal(out[1], values[3]) and np.array_equal(out[4], values[0])
 
     def test_gate_applies_after_softmax(self):
@@ -99,21 +125,21 @@ class TestSparseMix:
         admitted = _ragged_support()
         scores, values, gate = rng.normal((6, 6)), rng.normal((6, 4)), rng.uniform(0.0, 1.0, (6, 6))
         dense = softmax_rows(np.where(admitted, scores, NEG_INF)) * gate @ values
-        assert np.max(np.abs(sparse_mix(scores, admitted, values, gate) - dense)) <= 1e-15
+        assert np.max(np.abs(_mix(scores, admitted, values, gate) - dense)) <= 1e-15
 
     def test_heads_axis_matches_per_head_calls(self):
         rng = RngStream(6)
         admitted = _ragged_support()
         scores, values = rng.normal((3, 6, 6)), rng.normal((3, 6, 2))
-        out = sparse_mix(scores, admitted, values)
+        out = _mix(scores, admitted, values)
         for h in range(3):
-            assert np.array_equal(out[h], sparse_mix(scores[h], admitted, values[h]))
+            assert np.array_equal(out[h], _mix(scores[h], admitted, values[h]))
 
     def test_empty_row_raises(self):
         admitted = _ragged_support()
         admitted[2] = False
         with pytest.raises(ValueError, match="empty support"):
-            sparse_mix(np.zeros((6, 6)), admitted, np.zeros((6, 2)))
+            _mix(np.zeros((6, 6)), admitted, np.zeros((6, 2)))
 
 
 class TestSparseRoute:

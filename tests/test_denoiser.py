@@ -1,5 +1,7 @@
 """Full pipeline assembly: embedding, spatial mixing, pruning, restoration."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,15 @@ class TestForward:
             gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, init_params(cfg, 6), diag
         )
         assert diag["temporal_mask"].dtype == bool
+
+    def test_one_clamp_warning_per_mask_build(self, caplog):
+        cfg = small_cfg(corr_topk=10, recompute_mask_per_block=True)  # corr_topk >= F = 10 clamps
+        with caplog.at_level(logging.WARNING, logger="htp.tcep"):
+            denoise_forward(
+                gaussian(RngStream(14), (4, 10, 3)), gaussian(RngStream(15), (4, 10, 2)), 5, cfg, init_params(cfg, 7)
+            )
+        # tcep_refine's build plus one refresh per sparse block, not one per joint
+        assert sum("clamping" in r.message for r in caplog.records) == 1 + cfg.sparse_blocks
 
     def test_stage_errors_carry_stage_name(self):
         cfg = small_cfg()

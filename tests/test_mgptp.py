@@ -7,6 +7,8 @@ import pytest
 
 from htp.core import RngStream
 from htp.mgptp import (
+    DISTANCE_BLOCK,
+    MASK_MARGIN,
     cluster_scores,
     knn_density,
     masked_distance,
@@ -94,6 +96,19 @@ class TestMaskedDistance:
             blocked = (pooled == 0.0) & off
             if blocked.any() and valid.any():
                 assert dist[blocked].min() > dist[valid].max()
+
+
+    @pytest.mark.parametrize("frames", [1, 2, DISTANCE_BLOCK - 1, DISTANCE_BLOCK, DISTANCE_BLOCK + 1, 729])
+    def test_equals_row_loop_bitwise_and_is_symmetric(self, frames):
+        rng = RngStream(frames)
+        z = 3.0 * rng.normal((frames, 64))
+        raw = np.empty((frames, frames))
+        for p in range(frames):  # the row-by-row formula, one pass per frame
+            raw[p] = np.sqrt(((z - z[p]) ** 2).sum(axis=1))
+        raw /= np.sqrt(64)
+        dist, far = _full_distance(z)
+        assert far == float(raw.max()) + MASK_MARGIN
+        assert np.array_equal(dist, raw) and np.array_equal(dist, dist.T)
 
 
 class TestDensity:

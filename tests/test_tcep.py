@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htp import tcep
-from htp.core import NEG_INF, RngStream, ShapeError
+from htp.core import NEG_INF, RngStream, ShapeError, sparse_route
 from htp.tcep import (
     chain_adjacency,
     frame_similarity,
@@ -258,6 +258,31 @@ class TestTcepRefine:
         _, mask = tcep_refine(tokens, fused, weight, 2)
         assert mask.shape == (3, 6, 6)
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3, 7, 12])
+    def test_mask_equals_batched_selection_on_ties(self, top_k):
+        # 0/1 tokens: many frames share a similarity value, so the lower-index tie rule decides most picks
+        rng = RngStream(26)
+        tokens = np.floor(2.0 * rng.uniform(0.0, 1.0, (3, 12, 4)))
+        fused = fuse_adjacency(chain_adjacency(12), np.zeros((12, 12)))
+        _, mask = tcep_refine(tokens, fused, rng.normal((4, 4)), top_k)
+        assert np.array_equal(mask, select_topk_mask(frame_similarity(tokens), top_k))
+
+    def test_one_sparse_and_one_dense_joint_match_loop_oracle(self):
+        # joint 0: two hub frames every frame picks (dense); joint 1: a circle whose picks are its neighbours (sparse)
+        frames, rng = 40, RngStream(27)
+        tokens = np.empty((2, frames, 3))
+        tokens[0] = 1.0 + 0.3 * rng.normal((frames, 3))
+        tokens[0, 0], tokens[0, 1] = 5.0, 4.9
+        angle = 0.1 * np.arange(frames)
+        tokens[1] = np.stack([np.cos(angle), np.sin(angle), np.zeros(frames)], axis=1)
+        fused = fuse_adjacency(chain_adjacency(frames), 0.3 * rng.normal((frames, frames)))
+        weight = rng.normal((3, 3))
+        fast_tokens, fast_mask = tcep_refine(tokens, fused, weight, 2)
+        slow_tokens, slow_mask = naive_tcep_refine(tokens, fused, weight, 2)
+        assert [sparse_route(m) for m in fast_mask] == [False, True]
+        assert np.array_equal(fast_mask, slow_mask)
+        assert np.max(np.abs(fast_tokens - slow_tokens)) < 1e-12
 
     @pytest.mark.parametrize(
         "fused_shape, weight_shape, what",
