@@ -119,7 +119,7 @@ def _pair_scores(q: np.ndarray, k: np.ndarray, add_mask: np.ndarray, pairs: tupl
 def _attend(xq: np.ndarray, xkv: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights | CrossWeights) -> np.ndarray:
     """Multi-head attention of normed queries over normed keys/values, heads merged and projected by wo.
 
-    add_mask is None (dense) or {0, -inf} per (..., Tq, Tk). core.sparse_route picks the route of
+    add_mask is None (dense) or {0, -inf} of shape q.shape[:-1] + (Tk,). core.sparse_route picks the route of
     each leading slice (joint): the dense route adds add_mask to its (heads, Tq, Tk) scores; the
     sparse route scores only the pairs where add_mask is finite, and core.sparse_mix softmaxes
     and mixes them.
@@ -129,7 +129,6 @@ def _attend(xq: np.ndarray, xkv: np.ndarray, add_mask: np.ndarray | None, w: Att
     if add_mask is None:
         ctx = _dense_probs(qs, ks, None) @ vs
     else:
-        add_mask = np.broadcast_to(add_mask, q.shape[:-2] + add_mask.shape[-2:])
         ctx = np.empty(qs.shape)
         for idx in np.ndindex(*q.shape[:-2]):
             if sparse_route(admitted := np.isfinite(add_mask[idx])):
@@ -150,7 +149,8 @@ def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeig
 def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
-    add_mask holds {0, -inf} per (..., T, T) (a boolean mask goes through to_additive_mask first);
+    add_mask holds {0, -inf} per pair, shape tokens.shape[:-1] + (T,), i.e. (..., T, T) with the same
+    leading dims as the tokens (a boolean mask goes through to_additive_mask first);
     None means dense attention. A row with no finite entry raises ValueError("empty support").
     When core.sparse_route finds a joint's finite entries sparse, only they are scored,
     exponentiated and multiplied.
@@ -160,8 +160,9 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
         if np.asarray(add_mask).dtype == bool:
             raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
         add_mask = np.asarray(add_mask, dtype=np.float64)
-        if add_mask.shape[-2:] != (tokens.shape[-2], tokens.shape[-2]):
-            raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not match {tokens.shape[-2]} tokens")
+        expected = tokens.shape[:-1] + tokens.shape[-2:-1]  # (..., T, T) with the tokens' leading dims
+        if add_mask.shape != expected:
+            raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not fit tokens {tokens.shape} (expected {expected})")
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
     return _attend(x, x, add_mask, w) + tokens
 

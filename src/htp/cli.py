@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 import time
@@ -39,6 +40,8 @@ EXIT_STAGE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
+
+log = logging.getLogger(__name__)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,6 +141,8 @@ def _cmd_infer(args) -> int:
         def denoise(noisy, t, diag=None):
             return oracle
     else:
+        if 2 <= cfg.frames <= cfg.corr_topk:  # once per run, not once per mask build
+            log.warning("infer: clamping corr_topk=%d to %d for %d frames", cfg.corr_topk, cfg.frames - 1, cfg.frames)
         if args.params:
             params = load_denoiser_params(args.params, den_cfg)
         else:

@@ -29,7 +29,6 @@ from .core import RngStream, ShapeError, gelu, linear
 from .mgptp import prune_frames
 from .tcep import (
     chain_adjacency,
-    clamp_topk,
     frame_similarity,
     fuse_adjacency,
     select_topk_mask,
@@ -387,8 +386,7 @@ def denoise_forward(
             stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
             if cfg.recompute_mask_per_block:
                 mask = add_mask = None  # free the previous block's pair before building the next
-                k = clamp_topk(cfg.corr_topk, cfg.frames)  # one warning per mask build, not per joint
-                mask = np.stack([select_topk_mask(frame_similarity(joint), k) for joint in stream])
+                mask = np.stack([select_topk_mask(frame_similarity(joint), cfg.corr_topk) for joint in stream])
             if i == 0 or cfg.recompute_mask_per_block:  # a fixed mask is converted once
                 add_mask = to_additive_mask(mask)
             stream = attention_block(stream, add_mask, block.temporal_attn, block.temporal_mlp)
@@ -426,7 +424,7 @@ def dense_reference_forward(
 
     fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
     full_mask = np.ones((cfg.joints, cfg.frames, cfg.frames), dtype=bool)
-    stream, _ = tcep_refine(stream, fused, params.tcep_w, cfg.frames - 1 if cfg.frames > 1 else 1)
+    stream, _ = tcep_refine(stream, fused, params.tcep_w, cfg.frames)  # clamps to F - 1: every frame's neighbor
     stream = stream + params.temporal_pos[None, :, :]
     stream = stream + timestep_embedding(t, params)
 

@@ -2,11 +2,13 @@
 
 Conventions: one MAC is one multiply-accumulate; biases, softmax, LayerNorm,
 GELU, and pooling count as zero. All counts are exact integers. Masked
-temporal attention is charged F * min(2 * min(top_k, F-1) + 1, F) admitted
-pairs per joint, the upper bound on the total support of the symmetrized
-top-k mask (a single row may reach F). It saturates to dense attention at the
-default neighbor budget; callers profiling a concrete mask can pass the
-measured support instead.
+temporal attention and the TCEP frame mix are charged F * min(2 * min(top_k,
+F-1) + 1, F) admitted pairs per joint, the upper bound on the total support of
+the symmetrized top-k mask (a single row may reach F). It saturates to dense
+at the default neighbor budget; callers profiling a concrete mask can pass the
+measured support instead. Each mask build charges its J * F^2 * D frame
+similarity: once in TCEP, and once more per masked block when
+recompute_mask_per_block is on.
 """
 
 from __future__ import annotations
@@ -75,11 +77,15 @@ def _walk_stages(cfg: DenoiserConfig, sparse_blocks: int, dense: bool) -> list[t
         "entry_spatial",
         macs_attention(j, frames, dim, cfg.heads) + macs_ffn(j * frames, dim, hidden),
     ))
-    stages.append(("tcep", 2 * j * frames * frames * dim + macs_linear(j * frames, dim, dim)))
+    similarity = j * frames * frames * dim
+    tcep_mix = j * frames * support_rows * dim  # the mix, like masked attention, at the support bound
+    stages.append(("tcep", similarity + tcep_mix + macs_linear(j * frames, dim, dim)))
     stages.append(("timestep_mlp", 2 * dim * dim))
+    refresh = similarity if cfg.recompute_mask_per_block and not dense else 0
     for i in range(n_sparse):
         cost = (
-            macs_attention(j, frames, dim, cfg.heads)
+            refresh
+            + macs_attention(j, frames, dim, cfg.heads)
             + macs_ffn(j * frames, dim, hidden)
             + macs_attention(frames, j, dim, cfg.heads, support_total=j * frames * support_rows)
             + macs_ffn(j * frames, dim, hidden)

@@ -9,13 +9,9 @@ temporal adjacency to refine the tokens in place of dense temporal mixing.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .core import NEG_INF, ShapeError, admitted_pairs, gelu, softmax_rows, sparse_mix, sparse_route
-
-log = logging.getLogger(__name__)
 
 
 def chain_adjacency(n: int) -> np.ndarray:
@@ -51,54 +47,42 @@ def frame_similarity(tokens: np.ndarray) -> np.ndarray:
     return gram
 
 
-def clamp_topk(top_k: int, frames: int) -> int:
-    """top_k clamped to F - 1 for F >= 2 frames, with one warning when it clamps."""
-    if frames < 2 or top_k < frames:
-        return top_k
-    log.warning("select_topk_mask: clamping top_k=%d to %d for %d frames", top_k, frames - 1, frames)
-    return frames - 1
-
-
 def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Boolean frame masks: self-loops plus OR-symmetrized per-row top-k selection.
+    """Boolean (F, F) frame mask of one (F, F) score matrix: self-loops plus OR-symmetrized per-row top-k selection.
 
-    ``scores`` is (..., F, F); every trailing (F, F) matrix is masked on its
-    own. The diagonal is suppressed during selection; ties break toward the
-    lower frame index (stable sort). top_k >= F clamps to F - 1 with one
-    warning per call.
+    The diagonal is suppressed during selection; ties break toward the lower
+    frame index (stable sort). top_k >= F clamps silently to F - 1 (``htp
+    infer`` reports the clamp once per run).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
-        raise ShapeError(f"select_topk_mask: expected (..., F, F) matrices, got {scores.shape}")
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+        raise ShapeError(f"select_topk_mask: expected one (F, F) matrix, got {scores.shape}")
     if top_k < 1:
         raise ValueError(f"select_topk_mask: top_k must be >= 1, got {top_k}")
-    frames = scores.shape[-1]
+    frames = scores.shape[0]
     if frames < 2:
         return np.ones(scores.shape, dtype=bool)
-    k = clamp_topk(top_k, frames)
+    k = min(top_k, frames - 1)
 
     diag = np.arange(frames)
-    directed = np.empty(scores.shape, dtype=bool)
-    flat = directed.reshape(-1, frames, frames)
-    for m, matrix in enumerate(scores.reshape(-1, frames, frames)):  # one matrix at a time bounds the temporaries
-        negated = np.negative(matrix)  # ascending negated scores are descending scores
-        negated[diag, diag] = np.inf  # never pick self
-        negated.partition(k - 1, axis=-1)
-        kth = negated[:, k - 1 : k]
-        # negated <= kth in one pass over the scores (negation is exact); self is picked only when kth is inf
-        np.greater_equal(matrix, -kth, out=flat[m])
-        flat[m, diag, diag] = kth[:, 0] == np.inf
-        # a row has k picks, more on ties with its k-th value, or (NaN k-th value) none
-        if np.count_nonzero(flat[m]) > frames * k or np.isnan(kth).any():
-            surplus = np.flatnonzero(np.count_nonzero(flat[m], axis=-1) > k)
-            sub, bound = np.negative(matrix[surplus]), kth[surplus]
-            sub[np.arange(surplus.size), surplus] = np.inf
-            ties = sub == bound
-            short = k - np.count_nonzero(sub < bound, axis=-1, keepdims=True)
-            flat[m, surplus] &= ~ties | (np.cumsum(ties, axis=-1) <= short)  # the lower-index ties only
+    negated = np.negative(scores)  # ascending negated scores are descending scores
+    negated[diag, diag] = np.inf  # never pick self
+    negated.partition(k - 1, axis=-1)
+    kth = negated[:, k - 1 : k]
+    # negated <= kth in one pass over the scores (negation is exact); self is picked only when kth is inf
+    directed = scores >= -kth
+    directed[diag, diag] = kth[:, 0] == np.inf
+    # a row has k picks, more on ties with its k-th value, or (NaN k-th value) none
+    if np.count_nonzero(directed) > frames * k or np.isnan(kth).any():
+        surplus = np.flatnonzero(np.count_nonzero(directed, axis=-1) > k)
+        sub, bound = np.negative(scores[surplus]), kth[surplus]
+        sub[np.arange(surplus.size), surplus] = np.nan  # self neither ties with an inf bound nor counts below it
+        ties = sub == bound
+        short = k - np.count_nonzero(sub < bound, axis=-1, keepdims=True)
+        directed[surplus] &= ~ties | (np.cumsum(ties, axis=-1) <= short)  # the lower-index ties only
 
-    mask = directed | np.swapaxes(directed, -1, -2)
-    mask[..., diag, diag] = True
+    mask = directed | directed.T
+    mask[diag, diag] = True
     return mask
 
 
@@ -119,7 +103,8 @@ def tcep_refine(
     For each joint: gate the softmax of the masked similarity with the fused
     (F, F) adjacency, mix frames through it, project with the shared (D, D)
     weight, and add the GELU of the update back onto the input tokens. Each
-    joint's similarity and mask are built and used in turn; when
+    joint keeps top_k neighbors per frame (clamped silently to F - 1 by
+    select_topk_mask); its similarity and mask are built and used in turn; when
     core.sparse_route finds a joint's mask sparse, core.sparse_mix softmaxes,
     gates and mixes only its admitted pairs.
     """
@@ -132,12 +117,11 @@ def tcep_refine(
     if np.shape(weight) != (dim, dim):
         raise ShapeError(f"tcep_refine: weight {np.shape(weight)} does not match feature dim {dim}")
 
-    k = clamp_topk(top_k, frames)  # one warning per mask build, not per joint
     mask = np.empty((joints, frames, frames), dtype=bool)
     mixed = np.empty(tokens.shape)
     for j in range(joints):  # one (F, F) similarity at a time, while it is in cache
         sim = frame_similarity(tokens[j])
-        mask[j] = select_topk_mask(sim, k)
+        mask[j] = select_topk_mask(sim, top_k)
         if sparse_route(mask[j]):
             rows, cols, _ = pairs = admitted_pairs(mask[j])
             mixed[j] = sparse_mix(sim[rows, cols], pairs, tokens[j], fused)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import math
 import tempfile
 import time
@@ -429,24 +428,18 @@ def _mask_sweep_instances(rng, trials=200):
 
 def check_mask_construction_suite(rng):
     """Acceptance: 200 random instances, symmetry/diagonal/min-support plus oracle match."""
-    tcep_log = logging.getLogger("htp.tcep")
-    previous_level = tcep_log.level
-    tcep_log.setLevel(logging.ERROR)  # silence expected clamp warnings
-    try:
-        for trial, (scores, top_k) in enumerate(_mask_sweep_instances(rng)):
-            frames = scores.shape[0]
-            mask = select_topk_mask(scores, top_k)
-            if not np.array_equal(mask, mask.T):
-                return f"trial {trial}: mask not symmetric"
-            if not np.all(np.diag(mask) == 1.0):
-                return f"trial {trial}: diagonal not all ones"
-            k = min(top_k, frames - 1)
-            if mask.sum(axis=1).min() < k + 1:
-                return f"trial {trial}: row support below {k + 1}"
-            if not np.array_equal(mask, naive_topk_mask(scores.tolist(), top_k)):
-                return f"trial {trial}: disagrees with stable-sort oracle"
-    finally:
-        tcep_log.setLevel(previous_level)
+    for trial, (scores, top_k) in enumerate(_mask_sweep_instances(rng)):
+        frames = scores.shape[0]
+        mask = select_topk_mask(scores, top_k)
+        if not np.array_equal(mask, mask.T):
+            return f"trial {trial}: mask not symmetric"
+        if not np.all(np.diag(mask) == 1.0):
+            return f"trial {trial}: diagonal not all ones"
+        k = min(top_k, frames - 1)
+        if mask.sum(axis=1).min() < k + 1:
+            return f"trial {trial}: row support below {k + 1}"
+        if not np.array_equal(mask, naive_topk_mask(scores.tolist(), top_k)):
+            return f"trial {trial}: disagrees with stable-sort oracle"
     # pinned instance: top-1 of hand-written scores
     s = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     if not np.array_equal(select_topk_mask(s, 1), np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)):
@@ -469,32 +462,26 @@ def check_mask_row_support_upper_bound(rng):
     top-k picks p. No per-row cap of 2k+1 holds: a hub frame that every other
     row picks reaches support F (pinned below).
     """
-    tcep_log = logging.getLogger("htp.tcep")
-    previous_level = tcep_log.level
-    tcep_log.setLevel(logging.ERROR)
-    try:
-        total_violations, row_violations = [], []
-        for trial, (scores, top_k) in enumerate(_mask_sweep_instances(rng)):
-            frames = scores.shape[0]
-            k = min(top_k, frames - 1)
-            mask = select_topk_mask(scores, top_k)
-            total, total_cap = int(mask.sum()), frames * mask_support_rows(frames, top_k)
-            if total > total_cap:
-                total_violations.append(f"trial {trial} (F={frames}, k={k}): total support {total} > {total_cap}")
-            in_degree = [0] * frames
-            for picks in naive_topk_choices(scores.tolist(), top_k):
-                for q in picks:
-                    in_degree[q] += 1
-            for p in range(frames):
-                support, cap = int(mask[p].sum()), min(k + 1 + in_degree[p], frames)
-                if support > cap:
-                    row_violations.append(f"trial {trial} (F={frames}, k={k}): row {p} support {support} > {cap}")
-                    break
-        for name, violations in (("total", total_violations), ("in-degree row", row_violations)):
-            if violations:
-                return f"{len(violations)}/200 instances exceed the {name} cap; first at {violations[0]}"
-    finally:
-        tcep_log.setLevel(previous_level)
+    total_violations, row_violations = [], []
+    for trial, (scores, top_k) in enumerate(_mask_sweep_instances(rng)):
+        frames = scores.shape[0]
+        k = min(top_k, frames - 1)
+        mask = select_topk_mask(scores, top_k)
+        total, total_cap = int(mask.sum()), frames * mask_support_rows(frames, top_k)
+        if total > total_cap:
+            total_violations.append(f"trial {trial} (F={frames}, k={k}): total support {total} > {total_cap}")
+        in_degree = [0] * frames
+        for picks in naive_topk_choices(scores.tolist(), top_k):
+            for q in picks:
+                in_degree[q] += 1
+        for p in range(frames):
+            support, cap = int(mask[p].sum()), min(k + 1 + in_degree[p], frames)
+            if support > cap:
+                row_violations.append(f"trial {trial} (F={frames}, k={k}): row {p} support {support} > {cap}")
+                break
+    for name, violations in (("total", total_violations), ("in-degree row", row_violations)):
+        if violations:
+            return f"{len(violations)}/200 instances exceed the {name} cap; first at {violations[0]}"
     # pinned: cyclic scores, row p prefers p+1, p+2, ...; the total cap is reached exactly
     frames, top_k = 10, 2
     cyclic = np.array([[float(frames - (q - p) % frames) for q in range(frames)] for p in range(frames)])

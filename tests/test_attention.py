@@ -1,5 +1,6 @@
 """Mask-restricted multi-head attention, feed-forward, and cross attention."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,12 @@ class TestMaskedAttention:
         mask = _random_binary_mask(rng, 2, 12).astype(bool)
         with pytest.raises(ValueError, match="dtype bool.*to_additive_mask"):
             sft_mhsa(rng.normal((2, 12, 8)), mask, _random_attn(rng, 8, 2))
+
+    @pytest.mark.parametrize("mask_shape", [(3, 6, 6), (6, 6), (2, 6, 5), (1, 2, 6, 6)])
+    def test_mask_that_does_not_fit_the_tokens_is_shape_error(self, mask_shape):
+        rng = RngStream(18)
+        with pytest.raises(ShapeError, match=re.escape(f"mask {mask_shape} does not fit tokens (2, 6, 8)")):
+            sft_mhsa(rng.normal((2, 6, 8)), np.zeros(mask_shape), _random_attn(rng, 8, 2))
 
     def test_one_sparse_and_one_dense_joint_match_loop_oracle(self):
         rng = RngStream(17)

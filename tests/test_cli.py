@@ -2,6 +2,7 @@
 injects a stage failure or reads a profile in-process."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,23 @@ class TestInfer:
         raw = mask_path.read_bytes()
         assert raw[8:32] == b"".join(d.to_bytes(8, "little") for d in mask.shape)
         assert raw[32:] == mask.astype("<f8").tobytes()
+
+    def test_clamp_reported_once_per_run(self, tmp_path, generated, caplog):
+        # H=3, K=4 with per-block masks builds 3 * 4 * (1 + sparse_blocks) masks; the clamp is told once
+        _, obs = generated
+        outs, clamps = {}, {}
+        for corr_topk in (20, 11):  # F = 12: 20 clamps to 11
+            config = tmp_path / f"k{corr_topk}.json"
+            config.write_text(json.dumps({**TINY, "hypotheses": 3, "iterations": 4, "corr_topk": corr_topk,
+                                          "recompute_mask_per_block": True}))
+            outs[corr_topk] = tmp_path / f"k{corr_topk}.csv"
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                assert main(["infer", "--config", str(config), "--in-2d", obs, "--out", str(outs[corr_topk])]) == 0
+            clamps[corr_topk] = [(r.name, r.levelname, r.getMessage()) for r in caplog.records if "clamp" in r.getMessage()]
+        assert clamps[20] == [("htp.cli", "WARNING", "infer: clamping corr_topk=20 to 11 for 12 frames")]
+        assert clamps[11] == []
+        assert outs[20].read_bytes() == outs[11].read_bytes()  # the clamped run is the corr_topk = F - 1 run
 
     def test_oracle_stub_with_deterministic_sampler(self, tmp_path, tiny_config, generated):
         gt, obs = generated

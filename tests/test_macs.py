@@ -1,5 +1,6 @@
 """Analytic MAC accounting: primitives, stage walk, published-cost windows."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,28 @@ class TestProfile:
         assert "stages" in data and data["stages"][0]["stage"] == "pose_embed"
         table = report.format_table()
         assert "single pass" in table and "reduction" in table
+
+    def test_defaults_unmoved_by_the_support_and_refresh_charges(self):
+        # a saturated mask and no refresh: criterion 7's figures stay where they were
+        report = profile_model(DenoiserConfig(), 20, 10)
+        assert report.single_pass_total == 169_648_486_400
+        assert round(report.inference_reduction, 4) == 0.5460
+
+    def test_tcep_mix_at_support_and_refresh_per_masked_block(self):
+        # long_sparse geometry: J=17, F=729, D=64, corr_topk 8, two masked blocks
+        cfg = DenoiserConfig(frames=729, keep_frames=162, corr_topk=8, embed_dim=64, blocks=4, sparse_blocks=2,
+                             heads=2, mlp_ratio=2.0, recompute_mask_per_block=True)
+        j, frames, dim, support_rows = 17, 729, 64, 17  # support_rows = min(2 * 8 + 1, 729)
+        similarity = j * frames * frames * dim  # one mask build's J * F^2 * D
+        report = profile_model(cfg, 1, 1)
+        stages = dict(report.stages)
+        assert stages["tcep"] == similarity + j * frames * support_rows * dim + j * frames * dim * dim
+        fixed = profile_model(replace(cfg, recompute_mask_per_block=False), 1, 1)
+        for i in range(cfg.sparse_blocks):
+            assert stages[f"block{i}_full"] - dict(fixed.stages)[f"block{i}_full"] == similarity
+        assert report.single_pass_total - fixed.single_pass_total == cfg.sparse_blocks * similarity
+        assert report.single_pass_total == 4_937_021_696
+        assert report.dense_single_pass == fixed.dense_single_pass  # the dense model builds no mask
 
     def test_inference_blocks_validated(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,12 @@
 """Temporal mask construction and token refinement."""
 
 import logging
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htp import tcep
 from htp.core import NEG_INF, RngStream, ShapeError, sparse_route
 from htp.tcep import (
     chain_adjacency,
@@ -100,8 +98,8 @@ class TestSelectTopkMask:
         assert mask[0, 1] == 1.0  # frame 1 wins the tie with frame 2
 
     def test_single_frame(self):
-        assert np.array_equal(select_topk_mask(np.zeros((1, 1)), 3), np.ones((1, 1)))
-        assert np.array_equal(select_topk_mask(np.zeros((3, 1, 1)), 3), np.ones((3, 1, 1)))
+        mask = select_topk_mask(np.zeros((1, 1)), 3)
+        assert mask.dtype == bool and np.array_equal(mask, np.ones((1, 1)))
 
     @pytest.mark.parametrize("frames", [1, 4])
     @pytest.mark.parametrize("top_k", [0, -5])
@@ -109,7 +107,7 @@ class TestSelectTopkMask:
         with pytest.raises(ValueError, match="top_k must be >= 1"):
             select_topk_mask(np.zeros((frames, frames)), top_k)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 1, 1), (5, 5), (2, 6, 6)])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 5), (6, 6)])
     def test_mask_is_boolean(self, shape):
         mask = select_topk_mask(RngStream(8).normal(shape), 2)
         assert mask.dtype == bool and mask.shape == shape
@@ -118,14 +116,21 @@ class TestSelectTopkMask:
         with pytest.raises(ShapeError):
             select_topk_mask(np.zeros((2, 3, 4)), 1)
 
-    def test_clamp_warns(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="htp.tcep"):
-            select_topk_mask(RngStream(4).normal((4, 4)), 9)
-        assert any("clamping" in r.message for r in caplog.records)
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 1, 1), (2, 6, 6)])
+    def test_rejects_anything_but_one_square_matrix(self, shape):
+        with pytest.raises(ShapeError, match=r"one \(F, F\) matrix"):
+            select_topk_mask(np.zeros(shape), 1)
+
+    def test_clamp_is_silent_and_keeps_f_minus_one(self, caplog):
+        scores = RngStream(4).normal((4, 4))
+        with caplog.at_level(logging.DEBUG):
+            mask = select_topk_mask(scores, 9)
+        assert caplog.records == []  # `htp infer` reports the clamp, once per run
+        assert np.array_equal(mask, select_topk_mask(scores, 3))
 
     def test_matches_stable_sort_oracle(self):
-        # every slice of a (J, F, F) or (2, 2, F, F) stack, and the same slice
-        # alone, against the straight-loop oracle; odd trials have many ties
+        # each (F, F) matrix of a drawn (3, F, F) or (2, 2, F, F) stack against
+        # the straight-loop oracle; odd trials have many ties
         rng = RngStream(5)
         for trial in range(40):
             frames = 2 + trial % 9
@@ -134,11 +139,27 @@ class TestSelectTopkMask:
             if trial % 2:
                 scores = np.round(scores)
             scores = (scores + np.swapaxes(scores, -1, -2)) / 2
-            stacked = select_topk_mask(scores, top_k)
             for index in np.ndindex(scores.shape[:-2]):
                 expected = naive_topk_mask(scores[index].tolist(), top_k)
-                assert np.array_equal(stacked[index], expected)
                 assert np.array_equal(select_topk_mask(scores[index], top_k), expected)
+
+    def test_minus_inf_kth_score_leaves_self_out_of_the_picks(self):
+        # row 0 scores every other frame -inf: its one pick is frame 1 (lower index), not itself
+        s = np.array([[0.0, NEG_INF, NEG_INF], [NEG_INF, 0.0, 1.0], [NEG_INF, 1.0, 0.0]])
+        expected = naive_topk_mask(s.tolist(), 1)
+        assert expected[0, 1] == 1.0
+        assert np.array_equal(select_topk_mask(s, 1), expected)
+
+    def test_infinite_scores_match_stable_sort_oracle(self):
+        rng = RngStream(30)
+        levels = np.array([NEG_INF, -1.0, 0.0, 1.0, np.inf])
+        for trial in range(300):
+            frames = 2 + trial % 7
+            top_k = 1 + trial % (frames + 1)
+            scores = levels[rng.uniform(0.0, 5.0, (frames, frames)).astype(int)]
+            if trial % 2:  # symmetric, as a frame similarity is
+                scores = np.where(np.triu(np.ones((frames, frames), dtype=bool)), scores, scores.T)
+            assert np.array_equal(select_topk_mask(scores, top_k), naive_topk_mask(scores.tolist(), top_k))
 
     def test_symmetry_diagonal_and_min_support(self):
         rng = RngStream(6)
@@ -165,7 +186,8 @@ class TestSelectTopkMask:
 @st.composite
 def tie_heavy_scores(draw):
     """(scores, top_k): a (F, F) or stacked (2, 2, F, F) score array rounded
-    to a few levels, so that ties straddle the k-th value of many rows."""
+    to a few levels, so that ties straddle the k-th value of many rows; each
+    (F, F) matrix is selected on its own."""
     frames = draw(st.integers(2, 7))
     lead = draw(st.sampled_from([(), (2, 2)]))
     levels = draw(st.integers(1, 3))
@@ -184,11 +206,9 @@ class TestSelectTopkTies:
     @example((np.ones((2, 2, 5, 5)), 7))  # stacked, k >= F clamps
     def test_partial_selection_matches_stable_sort_oracle(self, case):
         scores, top_k = case
-        with mock.patch.object(tcep.log, "warning") as warning:
-            mask = select_topk_mask(scores, top_k)
-        assert warning.call_count == (top_k >= scores.shape[-1])  # one clamp warning per call
         for index in np.ndindex(scores.shape[:-2]):
-            assert np.array_equal(mask[index], naive_topk_mask(scores[index].tolist(), top_k))
+            expected = naive_topk_mask(scores[index].tolist(), top_k)
+            assert np.array_equal(select_topk_mask(scores[index], top_k), expected)
 
 
 class TestMaskSimilarity:
@@ -247,11 +267,14 @@ class TestTcepRefine:
             assert np.max(np.abs(soft.sum(axis=1) - 1.0)) < 1e-12
             assert np.all(soft[mask[j] == 0.0] == 0.0)
 
-    def test_clamp_warns_once_per_call(self, caplog):
-        tokens, fused, _ = self._instance(25, joints=4, frames=4)
-        with caplog.at_level(logging.WARNING, logger="htp.tcep"):
-            tcep_refine(tokens, fused, np.zeros((3, 3)), top_k=9)
-        assert sum("clamping" in r.message for r in caplog.records) == 1
+    def test_clamp_is_silent_and_keeps_f_minus_one(self, caplog):
+        tokens, fused, weight = self._instance(25, joints=4, frames=4)
+        with caplog.at_level(logging.DEBUG):
+            clamped_tokens, clamped_mask = tcep_refine(tokens, fused, weight, top_k=9)
+        assert caplog.records == []
+        unclamped_tokens, unclamped_mask = tcep_refine(tokens, fused, weight, top_k=3)
+        assert np.array_equal(clamped_tokens, unclamped_tokens)
+        assert np.array_equal(clamped_mask, unclamped_mask)
 
     def test_mask_stacked_over_joints(self):
         tokens, fused, weight = self._instance(22, joints=3, frames=6)
@@ -266,7 +289,8 @@ class TestTcepRefine:
         tokens = np.floor(2.0 * rng.uniform(0.0, 1.0, (3, 12, 4)))
         fused = fuse_adjacency(chain_adjacency(12), np.zeros((12, 12)))
         _, mask = tcep_refine(tokens, fused, rng.normal((4, 4)), top_k)
-        assert np.array_equal(mask, select_topk_mask(frame_similarity(tokens), top_k))
+        # selection on each matrix of the batched similarity: the per-joint similarity is bitwise the same
+        assert np.array_equal(mask, np.stack([select_topk_mask(sim, top_k) for sim in frame_similarity(tokens)]))
 
     def test_one_sparse_and_one_dense_joint_match_loop_oracle(self):
         # joint 0: two hub frames every frame picks (dense); joint 1: a circle whose picks are its neighbours (sparse)
