@@ -8,6 +8,7 @@ block, and length-restoring cross attention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .core import NEG_INF, ShapeError, admitted_pairs, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route
 
 _PAIR_CHUNK = 1024  # pairs scored per pass: two (1024, D) gathers are 1 MB at D=64
+_BLOCK_ROWS = 512  # token rows per block pass: a (512, 3072) FFN activation is 12.6 MB at paper geometry
 
 
 @dataclass
@@ -146,6 +148,30 @@ def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeig
     return _dense_probs(_split_heads(q, w.heads), _split_heads(k, w.heads), add_mask)
 
 
+def _checked_mask(tokens: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray | None:
+    """add_mask as float64, or ShapeError/ValueError when it is boolean or does not fit the tokens."""
+    if add_mask is None:
+        return None
+    if np.asarray(add_mask).dtype == bool:
+        raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
+    add_mask = np.asarray(add_mask, dtype=np.float64)
+    expected = tokens.shape[:-1] + tokens.shape[-2:-1]  # (..., T, T) with the tokens' leading dims
+    if add_mask.shape != expected:
+        raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not fit tokens {tokens.shape} (expected {expected})")
+    return add_mask
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(..., T, X) as (n, T, X): a view of any 3-D array, strided or not."""
+    return x.reshape(math.prod(x.shape[:-2]), *x.shape[-2:])
+
+
+def _row_chunks(n: int, t: int):
+    """Chunks of the leading axis of n slices of t tokens each, max(1, _BLOCK_ROWS // t) slices per chunk."""
+    step = max(1, _BLOCK_ROWS // max(t, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) -> np.ndarray:
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
@@ -156,13 +182,7 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     exponentiated and multiplied.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    if add_mask is not None:
-        if np.asarray(add_mask).dtype == bool:
-            raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
-        add_mask = np.asarray(add_mask, dtype=np.float64)
-        expected = tokens.shape[:-1] + tokens.shape[-2:-1]  # (..., T, T) with the tokens' leading dims
-        if add_mask.shape != expected:
-            raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not fit tokens {tokens.shape} (expected {expected})")
+    add_mask = _checked_mask(tokens, add_mask)
     x = layer_norm(tokens, w.ln_scale, w.ln_shift)
     return _attend(x, x, add_mask, w) + tokens
 
@@ -174,21 +194,37 @@ def ffn_block(tokens: np.ndarray, mlp: MlpWeights) -> np.ndarray:
 
 
 def attention_block(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights, mlp: MlpWeights) -> np.ndarray:
-    """Attention followed by the feed-forward block."""
-    return ffn_block(sft_mhsa(tokens, add_mask, w), mlp)
+    """Attention followed by the feed-forward block, over chunks of about _BLOCK_ROWS token rows.
+
+    Each chunk is max(1, _BLOCK_ROWS // T) leading slices of the (..., T, D) tokens, with the same
+    slices of the mask. Every step acts on one slice or one row, so the output is bitwise that of a
+    whole-array pass while the temporaries stay chunk-sized.
+    """
+    tokens = np.asarray(tokens, dtype=np.float64)
+    add_mask = _checked_mask(tokens, add_mask)
+    x, mask = _flat(tokens), None if add_mask is None else _flat(add_mask)
+    out = np.empty_like(x)  # laid out like x, so a transposed view in gives a transposed view out
+    for s in _row_chunks(*x.shape[:2]):
+        out[s] = ffn_block(sft_mhsa(np.ascontiguousarray(x[s]), None if mask is None else mask[s], w), mlp)
+    return out.reshape(tokens.shape)
 
 
 def cross_mhsa(full: np.ndarray, condensed: np.ndarray, w: CrossWeights) -> np.ndarray:
     """Restore full sequence length by attending from full-length queries
     to condensed keys/values, residual-added onto the full stream.
 
-    full is (J, F, D), condensed is (J, f, D); output is (J, F, D).
+    full is (J, F, D), condensed is (J, f, D); output is (J, F, D). Like attention_block, it runs over
+    chunks of max(1, _BLOCK_ROWS // F) joints, bitwise equal to one whole-array pass.
     """
     full = np.asarray(full, dtype=np.float64)
     condensed = np.asarray(condensed, dtype=np.float64)
     if condensed.shape[-2] < 1:
         raise ShapeError("cross_mhsa: condensed stream is empty")
-    if full.shape[-1] != condensed.shape[-1]:
-        raise ShapeError(f"cross_mhsa: feature dims differ: {full.shape} vs {condensed.shape}")
-    kv_in = layer_norm(condensed, w.ln_kv_scale, w.ln_kv_shift)
-    return _attend(layer_norm(full, w.ln_q_scale, w.ln_q_shift), kv_in, None, w) + full
+    if full.shape[-1] != condensed.shape[-1] or full.shape[:-2] != condensed.shape[:-2]:
+        raise ShapeError(f"cross_mhsa: leading or feature dims differ: {full.shape} vs {condensed.shape}")
+    q_in, kv_in = _flat(full), _flat(condensed)
+    out = np.empty(q_in.shape)
+    for s in _row_chunks(*q_in.shape[:2]):
+        kv = layer_norm(kv_in[s], w.ln_kv_scale, w.ln_kv_shift)
+        np.add(_attend(layer_norm(q_in[s], w.ln_q_scale, w.ln_q_shift), kv, None, w), q_in[s], out=out[s])
+    return out.reshape(full.shape)

@@ -314,13 +314,12 @@ def spatial_gcn(tokens: np.ndarray, joint_adj: np.ndarray, w: np.ndarray) -> np.
 def spatial_mhsa(tokens: np.ndarray, attn: AttnWeights, mlp: MlpWeights) -> np.ndarray:
     """Dense attention + MLP over the joint axis, independently per frame.
 
-    The block runs on a contiguous (F, J, D) copy and returns a contiguous
-    (J, F, D) result, so no projection reads a strided view.
+    The block runs on the (F, J, D) view. It copies one chunk of frames at a
+    time into contiguous memory, so no projection reads a strided view, and
+    lays its result out like its input, so the (J, F, D) result is contiguous
+    without a whole-array copy.
     """
-    per_frame = np.ascontiguousarray(np.swapaxes(tokens, 0, 1))
-    out = attention_block(per_frame, None, attn, mlp)
-    del per_frame  # free the input copy before the output copy is made
-    return np.ascontiguousarray(np.swapaxes(out, 0, 1))
+    return np.ascontiguousarray(np.swapaxes(attention_block(np.swapaxes(tokens, 0, 1), None, attn, mlp), 0, 1))
 
 
 def timestep_features(t: int, dim: int) -> np.ndarray:

@@ -1352,6 +1352,21 @@ def check_similarity_exactly_symmetric(rng):
     return ""
 
 
+def check_topk_mask_infinite_and_tied_scores(rng):
+    """select_topk_mask equals the stable-sort oracle on 300 instances whose scores are drawn from
+    {-inf, -1, 0, 1, +inf}: most picks tie, and a row's k-th best may be -inf (F <= 12, top_k past F-1)."""
+    levels = np.array([NEG_INF, -1.0, 0.0, 1.0, np.inf])
+    for trial in range(300):
+        frames = int(rng.uniform(2, 13, ()))
+        top_k = int(rng.uniform(1, frames + 2, ()))
+        scores = levels[rng.uniform(0.0, len(levels), (frames, frames)).astype(int)]
+        if trial % 2:  # symmetric, as a frame similarity is
+            scores = np.where(np.triu(np.ones((frames, frames), dtype=bool)), scores, scores.T)
+        if not np.array_equal(select_topk_mask(scores, top_k), naive_topk_mask(scores.tolist(), top_k)):
+            return f"trial {trial} (F={frames}, top_k={top_k}): disagrees with stable-sort oracle"
+    return ""
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
@@ -1399,6 +1414,7 @@ CHECKS = [
     ("config_rejection", check_config_rejection),
     ("synthetic_and_camera_loop", check_synthetic_and_camera_loop),
     ("similarity_exactly_symmetric", check_similarity_exactly_symmetric),
+    ("topk_mask_infinite_and_tied_scores", check_topk_mask_infinite_and_tied_scores),
 ]
 
 

@@ -47,7 +47,7 @@ def test_verify_checks_keep_their_names_and_order():
         "shape_contract", "dense_degenerate_equivalence", "frame_permutation_sanity", "finite_outputs",
         "denoiser_determinism", "gcn_matches_naive", "timestep_embedding", "checkpoint_roundtrip",
         "macs_examples", "macs_acceptance", "htp1_roundtrip", "pose_csv_roundtrip", "config_rejection",
-        "synthetic_and_camera_loop", "similarity_exactly_symmetric",
+        "synthetic_and_camera_loop", "similarity_exactly_symmetric", "topk_mask_infinite_and_tied_scores",
     ]
 
 

@@ -1,15 +1,18 @@
 """Mask-restricted multi-head attention, feed-forward, and cross attention."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from htp import attention
 from htp.attention import (
     AttnWeights,
     CrossWeights,
     MlpWeights,
+    attention_block,
     attention_probs,
     cross_mhsa,
     ffn_block,
@@ -25,6 +28,15 @@ from htp.verify import (
     naive_cross_attention,
     naive_ffn,
 )
+
+
+def _random_cross(rng, dim, heads):
+    a = _random_attn(rng, dim, heads)
+    return CrossWeights(
+        wq=a.wq, wk=a.wk, wv=a.wv, wo=a.wo, heads=heads,
+        ln_q_scale=a.ln_scale, ln_q_shift=a.ln_shift,
+        ln_kv_scale=a.ln_scale, ln_kv_shift=a.ln_shift,
+    )
 
 
 class TestAdditiveMask:
@@ -176,19 +188,11 @@ class TestFfn:
 
 
 class TestCrossAttention:
-    def _weights(self, rng, dim, heads):
-        a = _random_attn(rng, dim, heads)
-        return CrossWeights(
-            wq=a.wq, wk=a.wk, wv=a.wv, wo=a.wo, heads=heads,
-            ln_q_scale=a.ln_scale, ln_q_shift=a.ln_shift,
-            ln_kv_scale=a.ln_scale, ln_kv_shift=a.ln_shift,
-        )
-
     def test_degenerates_to_self_attention(self):
         # condensed == full with shared norms reproduces masked-free self-attention
         rng = RngStream(10)
         tokens = rng.normal((2, 4, 8))
-        w = self._weights(rng, 8, 2)
+        w = _random_cross(rng, 8, 2)
         self_attn = AttnWeights(
             wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo, heads=2,
             ln_scale=w.ln_q_scale, ln_shift=w.ln_q_shift,
@@ -199,14 +203,14 @@ class TestCrossAttention:
         rng = RngStream(11)
         full = rng.normal((3, 7, 8))
         for kept in (1, 3, 7):
-            out = cross_mhsa(full, rng.normal((3, kept, 8)), self._weights(rng, 8, 2))
+            out = cross_mhsa(full, rng.normal((3, kept, 8)), _random_cross(rng, 8, 2))
             assert out.shape == (3, 7, 8)
 
     def test_single_condensed_token_gets_all_attention(self):
         rng = RngStream(12)
         full = rng.normal((1, 5, 4))
         condensed = rng.normal((1, 1, 4))
-        w = self._weights(rng, 4, 2)
+        w = _random_cross(rng, 4, 2)
         from htp.core import layer_norm, linear
 
         kv = layer_norm(condensed, w.ln_kv_scale, w.ln_kv_shift)
@@ -216,7 +220,7 @@ class TestCrossAttention:
     def test_empty_condensed_rejected(self):
         rng = RngStream(13)
         with pytest.raises(ValueError):
-            cross_mhsa(rng.normal((1, 4, 4)), rng.normal((1, 0, 4)), self._weights(rng, 4, 2))
+            cross_mhsa(rng.normal((1, 4, 4)), rng.normal((1, 0, 4)), _random_cross(rng, 4, 2))
 
     def test_heads_must_divide_dim(self):
         rng = RngStream(16)
@@ -231,8 +235,91 @@ class TestCrossAttention:
     def test_matches_loop_oracle(self, heads, kept):
         rng = RngStream(17 + 10 * heads + kept)
         w = replace(
-            self._weights(rng, 8, heads),
+            _random_cross(rng, 8, heads),
             ln_kv_scale=1.0 + 0.1 * rng.normal((8,)), ln_kv_shift=0.1 * rng.normal((8,)),
         )
         full, condensed = rng.normal((2, 6, 8)), rng.normal((2, kept, 8))
         assert np.max(np.abs(cross_mhsa(full, condensed, w) - naive_cross_attention(full, condensed, w))) < 1e-12
+
+
+# Block geometry of each benchmark workload: (J, F, f kept, D, heads, hidden).
+WORKLOAD_BLOCKS = {
+    "paper_default": (17, 243, 54, 512, 8, 3072),
+    "smoke_infer": (17, 243, 54, 64, 2, 128),
+    "long_sparse": (17, 729, 162, 64, 2, 128),
+}
+
+
+def _workload_blocks(workload):
+    """Seeded weights and inputs, and the block calls that run at a workload's geometry.
+
+    The sparse mask admits |p - q| <= 2 except in joint 0, which is fully admitted, so one
+    call takes both routes; the dense mask admits about half the pairs of every joint.
+    """
+    joints, frames, kept, dim, heads, hidden = WORKLOAD_BLOCKS[workload]
+    rng = RngStream(40)
+    w, mlp, cross = _random_attn(rng, dim, heads), _random_mlp(rng, dim, hidden), _random_cross(rng, dim, heads)
+    spatial, temporal = rng.normal((frames, joints, dim)), rng.normal((joints, frames, dim))
+    condensed = rng.normal((joints, kept, dim))
+    band = np.abs(np.subtract.outer(np.arange(frames), np.arange(frames))) <= 2
+    sparse = np.repeat(band[None], joints, axis=0)
+    sparse[0] = True
+    dense = (rng.uniform(0.0, 1.0, (joints, frames, frames)) < 0.5) | np.eye(frames, dtype=bool)
+    assert sparse_route(sparse[1]) and not sparse_route(sparse[0])
+    assert not any(sparse_route(m) for m in dense)
+    sparse, dense = to_additive_mask(sparse), to_additive_mask(dense)
+    return {
+        "spatial": lambda: attention_block(spatial, None, w, mlp),
+        "temporal, sparse mask": lambda: attention_block(temporal, sparse, w, mlp),
+        "temporal, dense mask": lambda: attention_block(temporal, dense, w, mlp),
+        "cross": lambda: cross_mhsa(temporal, condensed, cross),
+    }
+
+
+class TestRowChunks:
+    """attention_block and cross_mhsa run over chunks of about _BLOCK_ROWS token rows."""
+
+    @pytest.mark.parametrize(
+        "workload", [pytest.param("paper_default", marks=pytest.mark.slow), "smoke_infer", "long_sparse"]
+    )
+    def test_chunked_blocks_equal_one_chunk_bitwise(self, workload, monkeypatch):
+        # Exact only if OpenBLAS gives a subset of GEMM rows the bits of the whole GEMM.
+        joints, frames = WORKLOAD_BLOCKS[workload][:2]
+        assert len(list(attention._row_chunks(joints, frames))) > 1
+        if frames > attention._BLOCK_ROWS:
+            assert len(list(attention._row_chunks(joints, frames))) == joints
+        calls = _workload_blocks(workload)
+        chunked = {name: call() for name, call in calls.items()}
+        monkeypatch.setattr(attention, "_BLOCK_ROWS", joints * frames + 1)
+        assert len(list(attention._row_chunks(frames, joints))) == 1
+        for name, call in calls.items():
+            assert np.array_equal(chunked[name], call()), name
+
+    @pytest.mark.slow
+    def test_paper_geometry_working_set_is_bounded(self):
+        # one whole-array pass peaked at 226 MB (attention_block) and 91 MB (cross_mhsa)
+        for name, call in _workload_blocks("paper_default").items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, f"{name}: traced peak {peak / 2**20:.1f} MB"
+
+    def test_transposed_view_in_gives_contiguous_transpose_out(self):
+        rng = RngStream(41)
+        w, mlp = _random_attn(rng, 8, 2), _random_mlp(rng, 8, 16)
+        tokens = rng.normal((3, 70, 8))  # (J, F, D); the block runs over the (F, J, D) view
+        out = attention_block(np.swapaxes(tokens, 0, 1), None, w, mlp)
+        assert np.swapaxes(out, 0, 1).flags.c_contiguous
+        assert np.array_equal(out, attention_block(np.ascontiguousarray(np.swapaxes(tokens, 0, 1)), None, w, mlp))
+
+    def test_mask_must_fit_all_leading_slices(self):
+        # a chunk-sized slice of a mask with too many joints would fit its token slice
+        rng = RngStream(42)
+        w, mlp = _random_attn(rng, 8, 2), _random_mlp(rng, 8, 16)
+        with pytest.raises(ShapeError, match="does not fit tokens"):
+            attention_block(rng.normal((2, 600, 8)), np.zeros((3, 600, 600)), w, mlp)
+        with pytest.raises(ShapeError, match="leading or feature dims differ"):
+            cross_mhsa(rng.normal((2, 600, 8)), rng.normal((3, 5, 8)), _random_cross(rng, 8, 2))

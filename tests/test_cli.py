@@ -3,6 +3,7 @@ injects a stage failure or reads a profile in-process."""
 
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,9 +37,9 @@ INF, NAN = float("inf"), float("nan")
 BAD_ADJACENCIES = [[[INF, 0], [0, 1]], [[NAN, 0], [0, 1]], [[0, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 1], [1, -1]]]
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "htp", *args], capture_output=True, text=True, timeout=300
+        [sys.executable, "-m", "htp", *args], capture_output=True, text=True, timeout=300, env=env
     )
 
 
@@ -93,6 +94,28 @@ class TestInfer:
             assert result.returncode == 0, result.stderr
             outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_blas_thread_count_moves_poses_only_in_the_last_bits(self, tmp_path):
+        # At the smoke geometry the frame similarity's syrk gives other last bits at 1 and 2 OpenBLAS
+        # threads; the poses moved by 4.5e-16 relative, the masks and retained frames not at all.
+        config = tmp_path / "smoke.json"
+        config.write_text(json.dumps({"embed_dim": 64, "blocks": 4, "sparse_blocks": 2, "heads": 2, "mlp_ratio": 2.0,
+                                      "hypotheses": 1, "iterations": 2, "seed": 3}))
+        obs = str(tmp_path / "obs.csv")
+        assert run_cli("generate", "--config", str(config), "--out-3d", str(tmp_path / "gt.csv"),
+                       "--out-2d", obs).returncode == 0
+        runs = []
+        for threads in ("1", "2"):  # one run at a time, so at most 2 BLAS threads
+            out, retained, mask = (str(tmp_path / f"{threads}{name}") for name in (".csv", ".json", ".htp1"))
+            result = run_cli("infer", "--config", str(config), "--in-2d", obs, "--out", out,
+                             "--emit-retained", retained, "--emit-mask", mask,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            runs.append((htp_io.read_pose_csv(out), Path(retained).read_bytes(), htp_io.read_tensor(mask)))
+        (pose_1, retained_1, mask_1), (pose_2, retained_2, mask_2) = runs
+        assert retained_1 == retained_2
+        assert np.array_equal(mask_1, mask_2)
+        assert np.max(np.abs(pose_1 - pose_2)) <= 1e-12 * np.max(np.abs(pose_1))
 
     def test_emits_retained_and_mask(self, tmp_path, tiny_config, generated):
         _, obs = generated
