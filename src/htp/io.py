@@ -2,17 +2,25 @@
 
 HTP1 layout: magic bytes ``HTP1``, u32 little-endian rank, rank u64
 little-endian dims, then the float64 little-endian payload in row-major
-order.
+order. Tensors are written from and read into the array's own buffer, so
+neither direction holds a second payload-sized copy.
+
+Pose CSV grammar: a ``frame,joint,x,y,z`` or ``frame,joint,u,v`` header,
+then one row per (frame, joint) of comma-separated unquoted decimal fields,
+two integer indices and as many floats as the header names. Lines end in LF
+or CRLF; blank and comment lines are errors. The writer emits CRLF and the
+``repr`` of each float64, so values round-trip exactly.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 import struct
 import zipfile
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -24,84 +32,88 @@ class FormatError(ValueError):
 
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(_encode_tensor(arr))
+    with open(path, "wb") as fh:
+        _write_tensor(fh, arr)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    return _decode_tensor(Path(path).read_bytes(), str(path))
+    with open(path, "rb") as fh:
+        return _read_tensor(fh, os.fstat(fh.fileno()).st_size, str(path))
 
 
-def _decode_tensor(raw: bytes, name: str) -> np.ndarray:
-    if raw[:4] != MAGIC:
+def _read_tensor(fh: BinaryIO, size: int, name: str) -> np.ndarray:
+    """Decode the ``size``-byte HTP1 stream ``fh``, reading the payload straight into the result."""
+    head = fh.read(8)
+    if head[:4] != MAGIC:
         raise FormatError(f"{name}: bad magic, expected {MAGIC!r}")
-    try:
-        (rank,) = struct.unpack_from("<I", raw, 4)
-        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 8)]
-    except struct.error:
-        raise FormatError(f"{name}: truncated header") from None
+    rank = int.from_bytes(head[4:], "little")
     off = 8 + 8 * rank
+    if len(head) < 8 or size < off:
+        raise FormatError(f"{name}: truncated header")
+    dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
     count = math.prod(dims)
-    payload = raw[off:]
-    if len(payload) != count * 8:
-        raise FormatError(f"{name}: payload is {len(payload)} bytes, expected {count * 8}")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    if size - off != count * 8:
+        raise FormatError(f"{name}: payload is {size - off} bytes, expected {count * 8}")
+    out = np.empty(count, dtype="<f8")
+    if fh.readinto(out.view(np.uint8)) != count * 8:
+        raise FormatError(f"{name}: payload ended early")
+    return out.reshape(dims)
 
 
-def _encode_tensor(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    head = MAGIC + struct.pack("<I", arr.ndim)
-    head += b"".join(struct.pack("<Q", d) for d in arr.shape)
-    return head + arr.astype("<f8").tobytes()
+def _write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    fh.write(MAGIC + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+    fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def write_pose_csv(path: str | Path, pose: np.ndarray) -> None:
     """Write a (J, F, 3) or (J, F, 2) pose tensor as a dense frame,joint CSV.
 
-    Values are written with repr so float64 round-trips exactly.
+    Rows run frame-major and end in CRLF; values are written with repr so
+    float64 round-trips exactly.
     """
     pose = np.asarray(pose, dtype=np.float64)
     if pose.ndim != 3 or pose.shape[2] not in (2, 3):
         raise FormatError(f"pose tensor must be (J, F, 2|3), got {pose.shape}")
-    joints, frames, width = pose.shape
-    header = ["frame", "joint", "u", "v"] if width == 2 else ["frame", "joint", "x", "y", "z"]
+    joints, _, width = pose.shape
+    header = "frame,joint,u,v\r\n" if width == 2 else "frame,joint,x,y,z\r\n"
+    row = ",".join(["%d", "%d"] + ["%r"] * width) + "\r\n"
+    values = pose.transpose(1, 0, 2).reshape(-1, width).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for f in range(frames):
-            for j in range(joints):
-                writer.writerow([f, j] + [repr(float(v)) for v in pose[j, f]])
+        fh.write(header + "".join([row % (r // joints, r % joints, *v) for r, v in enumerate(values)]))
 
 
 def read_pose_csv(path: str | Path) -> np.ndarray:
-    """Read a pose CSV back into a (J, F, C) tensor; validates every row and the density."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """Read a pose CSV back into a (J, F, C) tensor; validates every row and the density.
+
+    The data lines are parsed as one array. Only when that parse fails does
+    a row loop run, to name the first bad line.
+    """
+    lines = Path(path).read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise FormatError(f"{path}: empty file")
-    header = rows[0]
+    header = _fields(lines[0])
     if header[:2] != ["frame", "joint"] or len(header) not in (4, 5):
         raise FormatError(f"{path}: unexpected header {header}")
     width = len(header) - 2
-    body = rows[1:]
+    body = lines[1:]
     if not body:
         raise FormatError(f"{path}: no data rows")
-    frame_idx, joint_idx, values = [], [], []
-    for line, r in enumerate(body, start=2):
-        try:
-            if len(r) != len(header):
-                raise ValueError(f"{len(r)} fields, header has {len(header)}")
-            f, j = int(r[0]), int(r[1])
-            if f < 0 or j < 0:
-                raise ValueError(f"negative index ({f}, {j})")
-            frame_idx.append(f)
-            joint_idx.append(j)
-            values.extend(map(float, r[2:]))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {line}: {exc}") from None
-    frames, joints = max(frame_idx) + 1, max(joint_idx) + 1
+    if "" in body:  # loadtxt would skip a blank line rather than reject it
+        raise _first_bad_line(path, body, width, "blank line")
+    dtype = np.dtype([("frame", "<i8"), ("joint", "<i8"), ("coords", "<f8", (width,))])
+    try:
+        rows = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
+    except ValueError as exc:
+        raise _first_bad_line(path, body, width, str(exc)) from None
+    frame_idx, joint_idx, coords = rows["frame"], rows["joint"], rows["coords"]
+    if frame_idx.min() < 0 or joint_idx.min() < 0:
+        raise _first_bad_line(path, body, width, "negative index")
+    frames, joints = int(frame_idx.max()) + 1, int(joint_idx.max()) + 1
     if len(body) != frames * joints:
         raise FormatError(f"{path}: {len(body)} rows, expected dense {joints}x{frames}")
-    coords = np.array(values).reshape(len(body), width)
     if not np.isfinite(coords).all():
         raise FormatError(f"{path}: non-finite coordinates")
     out = np.full((joints, frames, width), np.nan)
@@ -111,6 +123,29 @@ def read_pose_csv(path: str | Path) -> np.ndarray:
     return out
 
 
+def _fields(line: str) -> list[str]:
+    return line.split(",") if line else []
+
+
+def _first_bad_line(path: str | Path, body: list[str], width: int, parse_error: str) -> FormatError:
+    """The error naming the first data line the array parse rejected; never produces values."""
+    for line, text in enumerate(body, start=2):
+        fields = _fields(text)
+        try:
+            if len(fields) != width + 2:
+                raise ValueError(f"{len(fields)} fields, header has {width + 2}")
+            if "_" in text:  # int() and float() accept digit separators; the format does not
+                raise ValueError(f"digit separator in {text!r}")
+            f, j = int(fields[0]), int(fields[1])
+            if f < 0 or j < 0:
+                raise ValueError(f"negative index ({f}, {j})")
+            for value in fields[2:]:
+                float(value)
+        except ValueError as exc:
+            return FormatError(f"{path}: line {line}: {exc}")
+    return FormatError(f"{path}: {parse_error}")
+
+
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     """Save named tensors as HTP1 entries in a zip container with a JSON manifest."""
     entries = {}
@@ -118,7 +153,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         for i, (name, arr) in enumerate(tensors.items()):
             entry = f"tensors/{i:04d}.htp1"
             entries[name] = entry
-            zf.writestr(entry, _encode_tensor(arr))
+            with zf.open(entry, "w") as fh:
+                _write_tensor(fh, arr)
         manifest = {"format": "HTP1", "tensors": entries}
         zf.writestr("manifest.json", json.dumps(manifest, indent=1))
 
@@ -130,7 +166,11 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             manifest = json.loads(zf.read("manifest.json"))
             if manifest.get("format") != "HTP1":
                 raise FormatError(f"unknown checkpoint format {manifest.get('format')!r}")
-            return {name: _decode_tensor(zf.read(entry), entry) for name, entry in manifest["tensors"].items()}
+            tensors = {}
+            for name, entry in manifest["tensors"].items():
+                with zf.open(entry) as fh:
+                    tensors[name] = _read_tensor(fh, zf.getinfo(entry).file_size, entry)
+            return tensors
     except (zipfile.BadZipFile, KeyError, ValueError, AttributeError) as exc:
         # a non-zip file, an absent entry or manifest key, bad JSON or a bad tensor
         raise FormatError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None

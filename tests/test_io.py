@@ -1,14 +1,38 @@
 """Binary tensor format, pose CSVs, and checkpoint containers."""
 
+import csv
 import json
 import re
+import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from htp import io as htp_io
 from htp.core import RngStream
+
+GOLDEN = Path(__file__).parent / "golden"
+# signed zero, the smallest subnormal, the largest finite double, and values whose repr is short or long
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 3.0]
+
+
+def csv_module_writer(path, pose):
+    """The pose writer as it stood on the csv module: frame-major rows of repr values, CRLF."""
+    joints, frames, width = pose.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "joint", "u", "v"] if width == 2 else ["frame", "joint", "x", "y", "z"])
+        for f in range(frames):
+            for j in range(joints):
+                writer.writerow([f, j] + [repr(float(v)) for v in pose[j, f]])
+
+
+def long_sparse_pose(width):
+    """A (17, 729, width) pose, the long_sparse size, spread over many decades."""
+    rng = RngStream(7)
+    return rng.normal((17, 729, width)) * 10.0 ** np.round(rng.uniform(-30, 30, (17, 729, width)))
 
 
 class TestTensorFormat:
@@ -52,6 +76,20 @@ class TestTensorFormat:
         with pytest.raises(htp_io.FormatError, match=rf"{re.escape(str(path))}: .*expected {2**64 * 8}$"):
             htp_io.read_tensor(path)
 
+    def test_write_and_read_hold_no_second_payload_copy(self, tmp_path):
+        arr = RngStream(8).normal((16, 256, 256))  # 8 MiB payload
+        path = tmp_path / "big.htp1"
+        peaks = {}
+        for name, op in (("write", lambda: htp_io.write_tensor(path, arr)), ("read", lambda: htp_io.read_tensor(path))):
+            tracemalloc.start()
+            try:
+                back = op()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(back, arr)
+        assert max(peaks.values()) < 1.5 * arr.nbytes, peaks
+
 
 class TestPoseCsv:
     @pytest.mark.parametrize("width", [2, 3])
@@ -62,6 +100,47 @@ class TestPoseCsv:
         back = htp_io.read_pose_csv(path)
         assert back.shape == pose.shape
         assert np.array_equal(back, pose)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_roundtrip_bitwise_at_long_sparse_size(self, tmp_path, width):
+        pose = long_sparse_pose(width)
+        path = tmp_path / "pose.csv"
+        htp_io.write_pose_csv(path, pose)
+        assert np.array_equal(htp_io.read_pose_csv(path), pose)
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*/out.csv")), ids=lambda p: p.parent.name)
+    def test_golden_file_rewrites_byte_identical(self, tmp_path, golden):
+        path = tmp_path / "out.csv"
+        htp_io.write_pose_csv(path, htp_io.read_pose_csv(golden))
+        assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_writer_bytes_match_csv_module(self, tmp_path, width):
+        pose = RngStream(9).normal((3, 5, width)) * 1e3
+        pose.flat[: 2 * len(EXTREMES)] = EXTREMES + [-v for v in EXTREMES]
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        htp_io.write_pose_csv(ours, pose)
+        csv_module_writer(reference, pose)
+        assert ours.read_bytes() == reference.read_bytes()
+        assert np.array_equal(htp_io.read_pose_csv(ours), pose)
+
+    def test_lf_file_reads_as_its_crlf_twin(self, tmp_path):
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        htp_io.write_pose_csv(crlf, RngStream(10).normal((4, 6, 3)))
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert b"\r" not in lf.read_bytes()
+        assert np.array_equal(htp_io.read_pose_csv(lf), htp_io.read_pose_csv(crlf))
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [("", "empty file"), ("frame,joint,u,v\n", "no data rows"), ("frame,joint,x,y,z", "no data rows")],
+        ids=["empty", "header_only", "header_only_no_newline"],
+    )
+    def test_empty_and_header_only_files(self, tmp_path, text, needle):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: {needle}")):
+            htp_io.read_pose_csv(path)
 
     def test_header_names(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -98,12 +177,27 @@ class TestPoseCsv:
             "-1,0,1.0,2.0",  # negative index that numpy would wrap
             "1,0,1.0",  # short row
             "1,0,1.0,2.0,3.0",  # extra column
+            "\n1,0,3.0,4.0",  # blank line mid-file
+            "#1,0,3.0,4.0",  # comment line
+            '"1",0,3.0,4.0',  # quoted field
+            "1.0,0,3.0,4.0",  # float index
+            "1_0,0,3.0,4.0",  # index with a digit separator
+            "1,0,3_0,4.0",  # value with a digit separator
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, bad_row):
         path = tmp_path / "bad.csv"
         path.write_text(f"frame,joint,u,v\n0,0,1.0,2.0\n{bad_row}\n")
         with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: line 3: ")):
+            htp_io.read_pose_csv(path)
+
+    def test_bad_value_deep_in_a_long_sparse_size_file(self, tmp_path):
+        path = tmp_path / "long.csv"
+        htp_io.write_pose_csv(path, long_sparse_pose(2))
+        lines = path.read_bytes().split(b"\r\n")
+        lines[4999] = lines[4999].rsplit(b",", 1)[0] + b",1.0e"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: line 5000: ")):
             htp_io.read_pose_csv(path)
 
 
