@@ -2,8 +2,9 @@
 
 HTP1 layout: magic bytes ``HTP1``, u32 little-endian rank, rank u64
 little-endian dims, then the float64 little-endian payload in row-major
-order. Tensors are written from and read into the array's own buffer, so
-neither direction holds a second payload-sized copy.
+order. Tensors are written from the array's own buffer and read into it in
+bounded chunks, so neither direction, in a standalone file or a checkpoint
+entry, holds a second payload-sized copy.
 
 Pose CSV grammar: a ``frame,joint,x,y,z`` or ``frame,joint,u,v`` header,
 then one row per (frame, joint) of comma-separated unquoted decimal fields,
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import struct
+import warnings
 import zipfile
 from pathlib import Path
 from typing import BinaryIO
@@ -25,6 +27,7 @@ from typing import BinaryIO
 import numpy as np
 
 MAGIC = b"HTP1"
+READ_CHUNK = 1 << 20  # a zip entry's readinto copies through read(n), so n is capped at this
 
 
 class FormatError(ValueError):
@@ -42,7 +45,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def _read_tensor(fh: BinaryIO, size: int, name: str) -> np.ndarray:
-    """Decode the ``size``-byte HTP1 stream ``fh``, reading the payload straight into the result."""
+    """Decode the ``size``-byte HTP1 stream ``fh``, reading the payload chunk by chunk into the result."""
     head = fh.read(8)
     if head[:4] != MAGIC:
         raise FormatError(f"{name}: bad magic, expected {MAGIC!r}")
@@ -55,8 +58,11 @@ def _read_tensor(fh: BinaryIO, size: int, name: str) -> np.ndarray:
     if size - off != count * 8:
         raise FormatError(f"{name}: payload is {size - off} bytes, expected {count * 8}")
     out = np.empty(count, dtype="<f8")
-    if fh.readinto(out.view(np.uint8)) != count * 8:
-        raise FormatError(f"{name}: payload ended early")
+    payload = memoryview(out.view(np.uint8))
+    for start in range(0, count * 8, READ_CHUNK):
+        chunk = payload[start : start + READ_CHUNK]
+        if fh.readinto(chunk) != len(chunk):
+            raise FormatError(f"{name}: payload ended early")
     return out.reshape(dims)
 
 
@@ -105,8 +111,11 @@ def read_pose_csv(path: str | Path) -> np.ndarray:
         raise _first_bad_line(path, body, width, "blank line")
     dtype = np.dtype([("frame", "<i8"), ("joint", "<i8"), ("coords", "<f8", (width,))])
     try:
-        rows = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy 1.23-1.26 parse an int field that fails as a float, cast it and only warn
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(body, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
         raise _first_bad_line(path, body, width, str(exc)) from None
     frame_idx, joint_idx, coords = rows["frame"], rows["joint"], rows["coords"]
     if frame_idx.min() < 0 or joint_idx.min() < 0:
@@ -153,7 +162,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         for i, (name, arr) in enumerate(tensors.items()):
             entry = f"tensors/{i:04d}.htp1"
             entries[name] = entry
-            with zf.open(entry, "w") as fh:
+            size = 8 + 8 * np.ndim(arr) + 8 * np.size(arr)
+            with zf.open(entry, "w", force_zip64=size > zipfile.ZIP64_LIMIT) as fh:
                 _write_tensor(fh, arr)
         manifest = {"format": "HTP1", "tensors": entries}
         zf.writestr("manifest.json", json.dumps(manifest, indent=1))

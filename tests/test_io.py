@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tracemalloc
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -191,6 +192,15 @@ class TestPoseCsv:
         with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: line 3: ")):
             htp_io.read_pose_csv(path)
 
+    @pytest.mark.parametrize("index", ["1.5", "-0.5", "1.0"])
+    def test_fractional_index_rejected_with_warnings_ignored(self, tmp_path, index):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frame,joint,u,v\n0,0,1.0,2.0\n{index},0,3.0,4.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: line 3: ")):
+                htp_io.read_pose_csv(path)
+
     def test_bad_value_deep_in_a_long_sparse_size_file(self, tmp_path):
         path = tmp_path / "long.csv"
         htp_io.write_pose_csv(path, long_sparse_pose(2))
@@ -210,6 +220,28 @@ class TestCheckpoint:
         assert set(back) == set(tensors)
         for name in tensors:
             assert np.array_equal(back[name], tensors[name])
+
+    def test_entry_past_zip64_limit_roundtrips(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)  # stands in for 2 GiB
+        tensors = {"small": np.arange(3.0), "big": RngStream(4).normal((20, 10))}
+        path = tmp_path / "c.ckpt"
+        htp_io.save_checkpoint(path, tensors)
+        back = htp_io.load_checkpoint(path)
+        for name in tensors:
+            assert np.array_equal(back[name], tensors[name])
+
+    def test_load_holds_no_second_payload_copy(self, tmp_path):
+        arr = RngStream(8).normal((16, 256, 256))  # 8 MiB payload
+        path = tmp_path / "big.ckpt"
+        htp_io.save_checkpoint(path, {"w": arr})
+        tracemalloc.start()
+        try:
+            back = htp_io.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back["w"], arr)
+        assert peak < 1.5 * arr.nbytes, peak
 
     def test_missing_manifest(self, tmp_path):
         import zipfile
