@@ -12,6 +12,7 @@ import logging
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,9 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     inf = sub.add_parser("infer", help="run the multi-hypothesis reverse chain on a 2-D sequence")
     inf.add_argument("--config", help="JSON run config")
-    inf.add_argument("--in-2d", help="2-D keypoints CSV (overrides config input_2d)")
-    inf.add_argument("--gt-3d", help="optional ground-truth 3-D CSV for an MPJPE report")
-    inf.add_argument("--out", help="output 3-D CSV (overrides config output_3d)")
+    inf.add_argument("--in-2d", dest="input_2d", help="2-D keypoints CSV (overrides config input_2d)")
+    inf.add_argument("--gt-3d", dest="input_gt",
+                     help="optional ground-truth 3-D CSV for an MPJPE report (overrides config input_gt)")
+    inf.add_argument("--out", dest="output_3d", help="output 3-D CSV (overrides config output_3d)")
     inf.add_argument("--H", type=int, dest="hypotheses", help="hypothesis count")
     inf.add_argument("--K", type=int, dest="iterations", help="reverse iterations")
     inf.add_argument("--T", type=int, dest="timesteps", help="diffusion timesteps")
@@ -86,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, keys) -> RunConfig:
-    overrides = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _config_from_args(args) -> RunConfig:
+    """The run's config: the --config file with every RunConfig field given as a flag overriding it."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     return load_config(args.config, overrides)
 
 
@@ -100,7 +103,7 @@ def _read_pose(path: str, field: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _config_from_args(args, ("joints", "frames", "seed"))
+    cfg = _config_from_args(args)
     if not (math.isfinite(args.noise_2d) and args.noise_2d >= 0.0):
         raise ConfigError(f"noise_2d: must be finite and >= 0 (got {args.noise_2d})")
     pose_3d, pose_2d = generate_synthetic(
@@ -114,24 +117,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    cfg = _config_from_args(
-        args, ("hypotheses", "iterations", "timesteps", "ddim_eta", "seed")
-    )
-    in_2d = args.in_2d or cfg.input_2d
-    out_path = args.out or cfg.output_3d
-    gt_path = args.gt_3d or cfg.input_gt
-    if in_2d is None:
+    cfg = _config_from_args(args)
+    if cfg.input_2d is None:
         raise ConfigError("input_2d: no 2-D input file given (use --in-2d or config input_2d)")
-    if out_path is None:
+    if cfg.output_3d is None:
         raise ConfigError("output_3d: no output path given (use --out or config output_3d)")
     if args.oracle_y0 and (args.emit_retained or args.emit_mask):
         raise ConfigError("emit_retained/emit_mask: not available with --oracle-y0 (the network never runs)")
 
-    keypoints = _read_pose(in_2d, "input_2d", (cfg.joints, cfg.frames, 2))
+    keypoints = _read_pose(cfg.input_2d, "input_2d", (cfg.joints, cfg.frames, 2))
     shape = (cfg.joints, cfg.frames, 3)
-    gt = _read_pose(gt_path, "input_gt", shape) if gt_path else None
+    gt = _read_pose(cfg.input_gt, "input_gt", shape) if cfg.input_gt else None
 
-    den_cfg = cfg.denoiser_config()
     root = RngStream(cfg.seed)
     diagnostics: dict = {}
 
@@ -144,14 +141,14 @@ def _cmd_infer(args) -> int:
         if 2 <= cfg.frames <= cfg.corr_topk:  # once per run, not once per mask build
             log.warning("infer: clamping corr_topk=%d to %d for %d frames", cfg.corr_topk, cfg.frames - 1, cfg.frames)
         if args.params:
-            params = load_denoiser_params(args.params, den_cfg)
+            params = load_denoiser_params(args.params, cfg)
         else:
-            params = init_params(den_cfg, root.child(0).seed)
+            params = init_params(cfg, root.child(0).seed)
         if args.save_params:
             save_denoiser_params(args.save_params, params)
 
         def denoise(noisy, t, diag=None):
-            return denoise_forward(noisy, keypoints, t, den_cfg, params, diagnostics=diag)
+            return denoise_forward(noisy, keypoints, t, cfg, params, diagnostics=diag)
 
     sched = build_schedule(cfg.timesteps, cfg.schedule)
     started = time.perf_counter()
@@ -170,8 +167,8 @@ def _cmd_infer(args) -> int:
     elapsed = time.perf_counter() - started
 
     final = jpma_aggregate(np.stack(finals), keypoints, cfg.camera_model())
-    htp_io.write_pose_csv(out_path, final)
-    print(f"infer: wrote {out_path} (H={cfg.hypotheses}, K={cfg.iterations}, seed={cfg.seed})")
+    htp_io.write_pose_csv(cfg.output_3d, final)
+    print(f"infer: wrote {cfg.output_3d} (H={cfg.hypotheses}, K={cfg.iterations}, seed={cfg.seed})")
 
     if args.emit_retained:
         retained = diagnostics.get("retained_indices")
@@ -182,7 +179,7 @@ def _cmd_infer(args) -> int:
         htp_io.write_tensor(args.emit_mask, diagnostics["temporal_mask"])
         print(f"infer: temporal mask -> {args.emit_mask}")
     if gt is not None:
-        print(f"infer: MPJPE vs {gt_path}: {mpjpe(final, gt):.6f} mm")
+        print(f"infer: MPJPE vs {cfg.input_gt}: {mpjpe(final, gt):.6f} mm")
     if args.time:
         fps = cfg.frames / elapsed if elapsed > 0 else float("inf")
         print(f"infer: {elapsed:.2f}s sampling, {fps:.1f} frames/s (informational, hardware-dependent)")
@@ -190,10 +187,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg = _config_from_args(args, ("hypotheses", "iterations"))
-    report = profile_model(
-        cfg.denoiser_config(), cfg.hypotheses, cfg.iterations, cfg.inference_sparse_blocks
-    )
+    cfg = _config_from_args(args)
+    report = profile_model(cfg, cfg.hypotheses, cfg.iterations, cfg.inference_sparse_blocks)
     print(report.format_table())
     if mask_support_rows(cfg.frames, cfg.corr_topk) == cfg.frames:
         print(

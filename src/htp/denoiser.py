@@ -70,17 +70,18 @@ def skeleton_adjacency(joints: int) -> np.ndarray:
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization D^-1/2 A D^-1/2; requires symmetry."""
+    """Symmetric degree normalization D^-1/2 A D^-1/2 of a finite, symmetric
+    matrix whose rows all sum to > 0; DenoiserConfig.problems reports its errors."""
     adj = np.asarray(adj, dtype=np.float64)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ShapeError(f"normalize_adjacency: expected square matrix, got {adj.shape}")
     if not np.isfinite(adj).all():
-        raise ValueError("normalize_adjacency: entries must be finite")
+        raise ValueError("entries must be finite")
     if not np.array_equal(adj, adj.T):
-        raise ValueError("normalize_adjacency: adjacency must be symmetric")
+        raise ValueError("must be symmetric")
     deg = adj.sum(axis=1)
     if np.any(deg <= 0):
-        raise ValueError("normalize_adjacency: every node needs at least one edge (self-loops)")
+        raise ValueError(f"every row must sum to > 0 (rows {np.flatnonzero(deg <= 0).tolist()} do not)")
     inv_sqrt = 1.0 / np.sqrt(deg)
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
@@ -158,13 +159,11 @@ class DenoiserConfig:
             return problems
         if adj.shape != (self.joints, self.joints):
             problems.append(f"joint_adjacency: must be a ({self.joints}, {self.joints}) matrix (got shape {adj.shape})")
-        elif not np.isfinite(adj).all():
-            problems.append("joint_adjacency: entries must be finite")
-        elif not np.array_equal(adj, adj.T):
-            problems.append("joint_adjacency: must be symmetric")
-        elif np.any(adj.sum(axis=1) <= 0):
-            rows = np.flatnonzero(adj.sum(axis=1) <= 0).tolist()
-            problems.append(f"joint_adjacency: every row must sum to > 0 (rows {rows} do not)")
+        else:
+            try:
+                normalize_adjacency(adj)
+            except ValueError as exc:
+                problems.append(f"joint_adjacency: {exc}")
         return problems
 
     @property

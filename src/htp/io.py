@@ -81,6 +81,8 @@ def write_pose_csv(path: str | Path, pose: np.ndarray) -> None:
     pose = np.asarray(pose, dtype=np.float64)
     if pose.ndim != 3 or pose.shape[2] not in (2, 3):
         raise FormatError(f"pose tensor must be (J, F, 2|3), got {pose.shape}")
+    if not np.isfinite(pose).all():  # the reader rejects them, so never write them
+        raise FormatError(f"{path}: non-finite coordinates")
     joints, _, width = pose.shape
     header = "frame,joint,u,v\r\n" if width == 2 else "frame,joint,x,y,z\r\n"
     row = ",".join(["%d", "%d"] + ["%r"] * width) + "\r\n"

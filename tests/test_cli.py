@@ -279,6 +279,55 @@ class TestInfer:
         assert code == EXIT_STAGE == 1
         assert "tcep: empty support" in capsys.readouterr().err
 
+    def test_overflowing_checkpoint_exits_3_and_writes_no_pose(self, tmp_path, tiny_config, generated):
+        # A subprocess: in-process, pytest turns numpy's overflow warning into a stage failure.
+        _, obs = generated
+        ckpt, big, out = tmp_path / "p.ckpt", tmp_path / "big.ckpt", tmp_path / "x.csv"
+        args = ["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(out)]
+        assert run_cli(*args, "--save-params", str(ckpt)).returncode == 0
+        out.unlink()
+        tensors = htp_io.load_checkpoint(ckpt)
+        tensors["head.w"] *= 1e308  # still finite, so the checkpoint loads
+        htp_io.save_checkpoint(big, tensors)
+        result = run_cli(*args, "--params", str(big))
+        assert result.returncode == EXIT_IO == 3
+        assert f"{out}: non-finite coordinates" in result.stderr
+        assert not out.exists()
+
+    def test_config_file_paths(self, tmp_path, generated, capsys):
+        gt, obs = generated
+        flagged, configured = tmp_path / "flagged.csv", tmp_path / "configured.csv"
+        config = tmp_path / "paths.json"
+        config.write_text(json.dumps({**TINY, "input_2d": obs, "output_3d": str(configured), "input_gt": gt}))
+        assert main(["infer", "--config", str(config)]) == 0
+        assert f"infer: MPJPE vs {gt}: " in capsys.readouterr().out
+        plain = tmp_path / "tiny.json"
+        plain.write_text(json.dumps(TINY))
+        assert main(["infer", "--config", str(plain), "--in-2d", obs, "--out", str(flagged)]) == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+
+    def test_path_flags_override_config_paths(self, tmp_path, generated, capsys):
+        gt, obs = generated
+        configured, flagged = tmp_path / "configured.csv", tmp_path / "flagged.csv"
+        config = tmp_path / "paths.json"
+        missing = str(tmp_path / "missing.csv")  # read only if a flag lost to its key
+        config.write_text(json.dumps({**TINY, "input_2d": missing, "output_3d": str(configured), "input_gt": missing}))
+        code = main(["infer", "--config", str(config), "--in-2d", obs, "--out", str(flagged), "--gt-3d", gt])
+        assert code == 0
+        assert f"infer: MPJPE vs {gt}: " in capsys.readouterr().out
+        assert flagged.exists() and not configured.exists()
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ([], "input_2d: no 2-D input file given (use --in-2d or config input_2d)"),
+            (["--in-2d", "obs.csv"], "output_3d: no output path given (use --out or config output_3d)"),
+        ],
+    )
+    def test_missing_path_is_config_error(self, tiny_config, capsys, given, message):
+        assert main(["infer", "--config", tiny_config, *given]) == EXIT_CONFIG
+        assert f"infer: config error: {message}" in capsys.readouterr().err
+
     def test_invalid_flag_value_is_config_error(self, tmp_path, tiny_config, generated):
         _, obs = generated
         result = run_cli("infer", "--config", tiny_config, "--in-2d", obs,

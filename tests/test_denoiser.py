@@ -134,7 +134,7 @@ class TestSpatialStages:
     def test_gcn_non_finite_rejected(self, value):
         adj = skeleton_adjacency(3)
         adj[0, 1] = adj[1, 0] = value
-        with pytest.raises(ValueError, match="normalize_adjacency: entries must be finite"):
+        with pytest.raises(ValueError, match="entries must be finite"):
             normalize_adjacency(adj)
 
     def test_spatial_attention_single_joint(self):

@@ -168,6 +168,15 @@ class TestPoseCsv:
         with pytest.raises(htp_io.FormatError, match="non-finite"):
             htp_io.read_pose_csv(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_writer_rejects_non_finite_and_leaves_no_file(self, tmp_path, value):
+        path = tmp_path / "out.csv"
+        pose = np.zeros((2, 3, 3))
+        pose[1, 2, 0] = value
+        with pytest.raises(htp_io.FormatError, match=re.escape(f"{path}: non-finite coordinates")):
+            htp_io.write_pose_csv(path, pose)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "bad_row",
         [
