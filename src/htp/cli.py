@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +125,10 @@ def _cmd_infer(args) -> int:
         raise ConfigError("output_3d: no output path given (use --out or config output_3d)")
     if args.oracle_y0 and (args.emit_retained or args.emit_mask):
         raise ConfigError("emit_retained/emit_mask: not available with --oracle-y0 (the network never runs)")
+    for name, path in (("output_3d", cfg.output_3d), ("emit_retained", args.emit_retained),
+                       ("emit_mask", args.emit_mask)):
+        if path and not Path(path).parent.is_dir():  # before any work, so a bad path wastes no sampling
+            raise FileNotFoundError(f"{name}: directory of {path} does not exist")
 
     keypoints = _read_pose(cfg.input_2d, "input_2d", (cfg.joints, cfg.frames, 2))
     shape = (cfg.joints, cfg.frames, 3)

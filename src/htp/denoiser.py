@@ -2,7 +2,7 @@
 frame pruning, condensed refinement, and length-restoring cross attention.
 
 The forward pass is a pure function of (inputs, config, params). A dense
-reference path with full masks and no pruning backs the degenerate
+reference path with no mask and no pruning backs the degenerate
 equivalence checks.
 """
 
@@ -413,7 +413,7 @@ def dense_reference_forward(
     cfg: DenoiserConfig,
     params: DenoiserParams,
 ) -> np.ndarray:
-    """Reference pipeline built from the same blocks with full masks and no
+    """Reference pipeline built from the same blocks with no mask and no
     pruning; used as the oracle for degenerate-setting equivalence."""
     stream = pose_embed(noisy_pose, keypoints_2d, params.embed_w, params.embed_b)
     stream = spatial_gcn(stream, cfg.joint_graph(), params.gcn_w)
@@ -421,20 +421,16 @@ def dense_reference_forward(
     stream = spatial_mhsa(stream, params.entry_attn, params.entry_mlp)
 
     fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
-    full_mask = np.ones((cfg.joints, cfg.frames, cfg.frames), dtype=bool)
     stream, _ = tcep_refine(stream, fused, params.tcep_w, cfg.frames)  # clamps to F - 1: every frame's neighbor
     stream = stream + params.temporal_pos[None, :, :]
     stream = stream + timestep_embedding(t, params)
 
-    add_mask = to_additive_mask(full_mask)
-    for i in range(cfg.sparse_blocks):
-        block = params.blocks[i]
+    for block in params.blocks[: cfg.sparse_blocks]:
         stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
-        stream = attention_block(stream, add_mask, block.temporal_attn, block.temporal_mlp)
+        stream = attention_block(stream, None, block.temporal_attn, block.temporal_mlp)
 
     skip = stream
-    for i in range(cfg.sparse_blocks, cfg.blocks):
-        block = params.blocks[i]
+    for block in params.blocks[cfg.sparse_blocks :]:
         stream = spatial_mhsa(stream, block.spatial_attn, block.spatial_mlp)
         stream = attention_block(stream, None, block.temporal_attn, block.temporal_mlp)
 

@@ -168,7 +168,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             with zf.open(entry, "w", force_zip64=size > zipfile.ZIP64_LIMIT) as fh:
                 _write_tensor(fh, arr)
         manifest = {"format": "HTP1", "tensors": entries}
-        zf.writestr("manifest.json", json.dumps(manifest, indent=1))
+        # a ZipInfo, like the tensor entries, dates the entry 1980-01-01, so equal tensors give equal bytes
+        zf.writestr(zipfile.ZipInfo("manifest.json"), json.dumps(manifest, indent=1))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

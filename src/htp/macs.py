@@ -14,7 +14,7 @@ recompute_mask_per_block is on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .denoiser import DenoiserConfig
 
@@ -62,13 +62,11 @@ def mask_support_rows(frames: int, top_k: int) -> int:
     return min(2 * k + 1, frames)
 
 
-def _walk_stages(cfg: DenoiserConfig, sparse_blocks: int, dense: bool) -> list[tuple[str, int]]:
-    """Stage-by-stage MAC counts mirroring the forward pass."""
+def _walk_stages(cfg: DenoiserConfig) -> list[tuple[str, int]]:
+    """Stage-by-stage MAC counts of one config's forward pass."""
     j, frames, dim = cfg.joints, cfg.frames, cfg.embed_dim
-    hidden = cfg.mlp_hidden
-    kept = frames if dense else cfg.keep_frames
-    support_rows = frames if dense else mask_support_rows(frames, cfg.corr_topk)
-    n_sparse = cfg.blocks if dense else sparse_blocks
+    hidden, kept = cfg.mlp_hidden, cfg.keep_frames
+    support_rows = mask_support_rows(frames, cfg.corr_topk)
 
     stages: list[tuple[str, int]] = []
     stages.append(("pose_embed", macs_linear(j * frames, 5, dim)))
@@ -81,8 +79,8 @@ def _walk_stages(cfg: DenoiserConfig, sparse_blocks: int, dense: bool) -> list[t
     tcep_mix = j * frames * support_rows * dim  # the mix, like masked attention, at the support bound
     stages.append(("tcep", similarity + tcep_mix + macs_linear(j * frames, dim, dim)))
     stages.append(("timestep_mlp", 2 * dim * dim))
-    refresh = similarity if cfg.recompute_mask_per_block and not dense else 0
-    for i in range(n_sparse):
+    refresh = similarity if cfg.recompute_mask_per_block else 0
+    for i in range(cfg.sparse_blocks):
         cost = (
             refresh
             + macs_attention(j, frames, dim, cfg.heads)
@@ -92,7 +90,7 @@ def _walk_stages(cfg: DenoiserConfig, sparse_blocks: int, dense: bool) -> list[t
         )
         stages.append((f"block{i}_full", cost))
     stages.append(("mgptp", frames * frames * dim))
-    for i in range(n_sparse, cfg.blocks):
+    for i in range(cfg.sparse_blocks, cfg.blocks):
         cost = (
             macs_attention(j, kept, dim, cfg.heads)
             + macs_ffn(j * kept, dim, hidden)
@@ -173,12 +171,13 @@ def profile_model(
     iterations: int,
     inference_sparse_blocks: int | None = None,
 ) -> MacsReport:
-    """Walk the pipeline analytically and assemble the cost report.
+    """Walk three configs analytically and assemble the cost report.
 
-    The training-style single pass uses cfg.sparse_blocks; inference totals
-    use ``inference_sparse_blocks`` (default min(2, blocks), the deployment
-    setting) and scale exactly by hypotheses * iterations. The dense baseline
-    re-walks the same stages with full-length blocks and a saturated mask.
+    The training-style single pass walks cfg; the inference pass walks cfg
+    with ``inference_sparse_blocks`` masked blocks (default min(2, blocks),
+    the deployment setting), and its totals scale exactly by hypotheses *
+    iterations. The dense baseline walks criterion 6's degenerate config:
+    every frame kept, a saturated mask and no per-block refresh.
     """
     if hypotheses < 1 or iterations < 1:
         raise ValueError("profile_model: hypotheses and iterations must be >= 1")
@@ -189,10 +188,11 @@ def profile_model(
             f"profile_model: inference_sparse_blocks must be in [0, {cfg.blocks}], got {inference_sparse_blocks}"
         )
 
-    train_stages = _walk_stages(cfg, cfg.sparse_blocks, dense=False)
+    train_stages = _walk_stages(cfg)
     single_pass = sum(c for _, c in train_stages)
-    inference_single = sum(c for _, c in _walk_stages(cfg, inference_sparse_blocks, dense=False))
-    dense_single = sum(c for _, c in _walk_stages(cfg, cfg.sparse_blocks, dense=True))
+    inference_single = sum(c for _, c in _walk_stages(replace(cfg, sparse_blocks=inference_sparse_blocks)))
+    dense_cfg = replace(cfg, keep_frames=cfg.frames, corr_topk=cfg.frames, recompute_mask_per_block=False)
+    dense_single = sum(c for _, c in _walk_stages(dense_cfg))
 
     passes = hypotheses * iterations
     inference_total = inference_single * passes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, admitted_pairs, gelu, softmax_rows, sparse_mix, sparse_route
+from .core import NEG_INF, ShapeError, admitted_pairs, gelu, linear, softmax_rows, sparse_mix, sparse_route
 
 
 def chain_adjacency(n: int) -> np.ndarray:
@@ -130,4 +130,4 @@ def tcep_refine(
             softmax_rows(gated, out=gated)
             gated *= fused
             mixed[j] = gated @ tokens[j]
-    return tokens + gelu(mixed @ weight), mask
+    return tokens + gelu(linear(mixed, weight)), mask

@@ -307,6 +307,16 @@ class TestRowChunks:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, f"{name}: traced peak {peak / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("workload", ["smoke_infer", "long_sparse"])
+    def test_all_admitted_mask_equals_no_mask_bitwise(self, workload):
+        # denoise_forward at a saturated mask passes it; dense_reference_forward passes None
+        joints, frames, _, dim, heads, hidden = WORKLOAD_BLOCKS[workload]
+        rng = RngStream(43)
+        w, mlp = _random_attn(rng, dim, heads), _random_mlp(rng, dim, hidden)
+        tokens = rng.normal((joints, frames, dim))
+        full = to_additive_mask(np.ones((joints, frames, frames), dtype=bool))
+        assert np.array_equal(attention_block(tokens, full, w, mlp), attention_block(tokens, None, w, mlp))
+
     def test_transposed_view_in_gives_contiguous_transpose_out(self):
         rng = RngStream(41)
         w, mlp = _random_attn(rng, 8, 2), _random_mlp(rng, 8, 16)

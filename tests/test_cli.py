@@ -258,6 +258,22 @@ class TestInfer:
         err = capsys.readouterr().err
         assert str(bad) in err and "block0.spatial.attn.ln_scale" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-retained", "--emit-mask"])
+    def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, tiny_config, generated, monkeypatch,
+                                                              capsys, flag):
+        _, obs = generated
+        missing, saved, out = tmp_path / "absent" / "x.out", tmp_path / "params.ckpt", tmp_path / "x.csv"
+        outputs = {"--out": str(out), flag: str(missing)}  # the flag under test points into a missing directory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer ran a forward pass before checking its output directories")
+
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        args = ["infer", "--config", tiny_config, "--in-2d", obs, "--save-params", str(saved)]
+        assert main(args + [arg for pair in outputs.items() for arg in pair]) == EXIT_IO
+        assert str(missing) in capsys.readouterr().err
+        assert not saved.exists() and not out.exists()
+
     def test_checkpoint_shape_mismatch_names_file_and_tensor(self, tmp_path, tiny_config, generated, capsys):
         _, obs = generated
         ckpt, narrow = tmp_path / "params.ckpt", tmp_path / "narrow.json"

@@ -252,6 +252,18 @@ class TestCheckpoint:
         assert np.array_equal(back["w"], arr)
         assert peak < 1.5 * arr.nbytes, peak
 
+    def test_equal_tensors_give_equal_bytes(self, tmp_path, monkeypatch):
+        tensors = {"a.w": RngStream(3).normal((3, 4)), "b.vec": np.arange(5.0)}
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        htp_io.save_checkpoint(first, tensors)
+        with monkeypatch.context() as m:  # a second save a day later
+            m.setattr(zipfile.time, "localtime", lambda *args: (2001, 2, 3, 4, 5, 6, 5, 34, 0))
+            htp_io.save_checkpoint(second, tensors)
+        with zipfile.ZipFile(first) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+            assert "manifest.json" in zf.namelist()
+        assert first.read_bytes() == second.read_bytes()
+
     def test_missing_manifest(self, tmp_path):
         import zipfile
 

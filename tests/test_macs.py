@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -126,6 +127,19 @@ class TestProfile:
         assert report.single_pass_total - fixed.single_pass_total == cfg.sparse_blocks * similarity
         assert report.single_pass_total == 4_937_021_696
         assert report.dense_single_pass == fixed.dense_single_pass  # the dense model builds no mask
+
+    def test_inference_and_dense_lines_are_walks_of_configs(self):
+        # the inference line walks cfg at its masked-block count; the dense line walks criterion 6's
+        # degenerate config: every frame kept, a saturated mask, no per-block refresh
+        for frames, keep, topk, sparse, refresh in product((1, 9, 243), (0.25, 1), (2, 999), (0, 1, 3), (False, True)):
+            cfg = DenoiserConfig(joints=5, frames=frames, keep_frames=max(1, int(keep * frames)), corr_topk=topk,
+                                 embed_dim=16, heads=2, mlp_ratio=2.0, blocks=3, sparse_blocks=sparse, knn_k=1,
+                                 recompute_mask_per_block=refresh)
+            dense = replace(cfg, keep_frames=frames, corr_topk=frames, recompute_mask_per_block=False)
+            for isb in (0, 2, 3):
+                report, inference = profile_model(cfg, 2, 3, isb), replace(cfg, sparse_blocks=isb)
+                assert report.dense_single_pass == profile_model(dense, 1, 1).single_pass_total
+                assert report.inference_single_pass == profile_model(inference, 1, 1).single_pass_total
 
     def test_inference_blocks_validated(self):
         with pytest.raises(ValueError):
