@@ -1,9 +1,11 @@
 """Multi-head self-attention restricted to a boolean temporal mask.
 
 The mask converts to an additive {0, -inf} mask applied to the
-pre-softmax scores, so excluded positions receive an exactly-zero weight.
-The same machinery runs dense attention (zero mask), the feed-forward
-block, and length-restoring cross attention.
+pre-softmax scores, so excluded positions receive an exactly-zero weight;
+on the sparse route only the admitted pairs are scored at all. The same
+core runs unmasked attention (no mask is passed: spatial, pruned-block and
+dense-reference attention), the feed-forward block, and length-restoring
+cross attention.
 """
 
 from __future__ import annotations

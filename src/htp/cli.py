@@ -176,11 +176,10 @@ def _cmd_infer(args) -> int:
     print(f"infer: wrote {cfg.output_3d} (H={cfg.hypotheses}, K={cfg.iterations}, seed={cfg.seed})")
 
     if args.emit_retained:
-        retained = diagnostics.get("retained_indices")
         with open(args.emit_retained, "w") as fh:
-            json.dump([int(i) for i in retained], fh)
+            json.dump([int(i) for i in diagnostics["retained_indices"]], fh)
         print(f"infer: retained indices -> {args.emit_retained}")
-    if args.emit_mask and "temporal_mask" in diagnostics:
+    if args.emit_mask:
         htp_io.write_tensor(args.emit_mask, diagnostics["temporal_mask"])
         print(f"infer: temporal mask -> {args.emit_mask}")
     if gt is not None:

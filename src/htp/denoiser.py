@@ -400,6 +400,8 @@ def denoise_forward(
         restored = cross_mhsa(stream, condensed, params.cross)  # full-length queries, condensed keys
     with _stage("head", seconds):
         out = linear(restored, params.head_w, params.head_b)
+        if not np.isfinite(out).all():  # stop here, not after a whole sampling chain on nan
+            raise FloatingPointError("output is not finite")
 
     if diagnostics is not None:
         diagnostics.update(retained_indices=indices, temporal_mask=mask, stage_seconds=seconds)

@@ -14,7 +14,7 @@ recompute_mask_per_block is on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .denoiser import DenoiserConfig
 
@@ -68,51 +68,41 @@ def _walk_stages(cfg: DenoiserConfig) -> list[tuple[str, int]]:
     hidden, kept = cfg.mlp_hidden, cfg.keep_frames
     support_rows = mask_support_rows(frames, cfg.corr_topk)
 
-    stages: list[tuple[str, int]] = []
-    stages.append(("pose_embed", macs_linear(j * frames, 5, dim)))
-    stages.append(("spatial_gcn", frames * j * j * dim + macs_linear(j * frames, dim, dim)))
-    stages.append((
-        "entry_spatial",
-        macs_attention(j, frames, dim, cfg.heads) + macs_ffn(j * frames, dim, hidden),
-    ))
+    def spatial(n: int) -> int:  # attention over the J joints of each of n frames, then the FFN
+        return macs_attention(j, n, dim, cfg.heads) + macs_ffn(j * n, dim, hidden)
+
+    def temporal(n: int, support: int | None = None) -> int:  # attention over n frames per joint, then the FFN
+        return macs_attention(n, j, dim, cfg.heads, support_total=support) + macs_ffn(j * n, dim, hidden)
+
     similarity = j * frames * frames * dim
     tcep_mix = j * frames * support_rows * dim  # the mix, like masked attention, at the support bound
-    stages.append(("tcep", similarity + tcep_mix + macs_linear(j * frames, dim, dim)))
-    stages.append(("timestep_mlp", 2 * dim * dim))
     refresh = similarity if cfg.recompute_mask_per_block else 0
-    for i in range(cfg.sparse_blocks):
-        cost = (
-            refresh
-            + macs_attention(j, frames, dim, cfg.heads)
-            + macs_ffn(j * frames, dim, hidden)
-            + macs_attention(frames, j, dim, cfg.heads, support_total=j * frames * support_rows)
-            + macs_ffn(j * frames, dim, hidden)
-        )
-        stages.append((f"block{i}_full", cost))
-    stages.append(("mgptp", frames * frames * dim))
-    for i in range(cfg.sparse_blocks, cfg.blocks):
-        cost = (
-            macs_attention(j, kept, dim, cfg.heads)
-            + macs_ffn(j * kept, dim, hidden)
-            + macs_attention(kept, j, dim, cfg.heads)
-            + macs_ffn(j * kept, dim, hidden)
-        )
-        stages.append((f"block{i}_pruned", cost))
+    full = refresh + spatial(frames) + temporal(frames, j * frames * support_rows)
+    pruned = spatial(kept) + temporal(kept)
     cross = (
         2 * macs_linear(j * frames, dim, dim)      # query and output projections
         + 2 * macs_linear(j * kept, dim, dim)      # key and value projections
         + 2 * j * frames * kept * dim              # scores and context
     )
-    stages.append(("cross_mhsa", cross))
-    stages.append(("head", macs_linear(j * frames, dim, 3)))
-    return stages
+    return [
+        ("pose_embed", macs_linear(j * frames, 5, dim)),
+        ("spatial_gcn", frames * j * j * dim + macs_linear(j * frames, dim, dim)),
+        ("entry_spatial", spatial(frames)),
+        ("tcep", similarity + tcep_mix + macs_linear(j * frames, dim, dim)),
+        ("timestep_mlp", 2 * dim * dim),
+        *[(f"block{i}_full", full) for i in range(cfg.sparse_blocks)],
+        ("mgptp", frames * frames * dim),
+        *[(f"block{i}_pruned", pruned) for i in range(cfg.sparse_blocks, cfg.blocks)],
+        ("cross_mhsa", cross),
+        ("head", macs_linear(j * frames, dim, 3)),
+    ]
 
 
 @dataclass(frozen=True)
 class MacsReport:
     stages: tuple[tuple[str, int], ...]
     single_pass_total: int
-    train_per_frame: float
+    train_macs_per_frame_g: float
     hypotheses: int
     iterations: int
     inference_sparse_blocks: int
@@ -124,21 +114,12 @@ class MacsReport:
     inference_reduction: float
 
     def as_dict(self) -> dict:
+        data = asdict(self)
+        data["stages"] = [{"stage": name, "macs": count} for name, count in self.stages]
         return {
             "convention": "MAC = multiply-accumulate; biases/softmax/LayerNorm/GELU excluded; "
             "masked attention counted at the symmetrized support bound",
-            "stages": [{"stage": name, "macs": count} for name, count in self.stages],
-            "single_pass_total": self.single_pass_total,
-            "train_macs_per_frame_g": self.train_per_frame / GIGA,
-            "hypotheses": self.hypotheses,
-            "iterations": self.iterations,
-            "inference_sparse_blocks": self.inference_sparse_blocks,
-            "inference_single_pass": self.inference_single_pass,
-            "inference_total": self.inference_total,
-            "dense_single_pass": self.dense_single_pass,
-            "dense_inference_total": self.dense_inference_total,
-            "reduction_vs_dense": self.reduction_vs_dense,
-            "inference_reduction": self.inference_reduction,
+            **data,
         }
 
     def as_json(self) -> str:
@@ -153,7 +134,7 @@ class MacsReport:
         lines.append(f"{'single pass':<{width}}  {self.single_pass_total:>16,}  {self.single_pass_total / GIGA:>9.3f}")
         lines.append(f"{'dense single pass':<{width}}  {self.dense_single_pass:>16,}  {self.dense_single_pass / GIGA:>9.3f}")
         lines.append(
-            f"train per frame: {self.train_per_frame / GIGA:.3f}G | single-pass vs dense: "
+            f"train per frame: {self.train_macs_per_frame_g:.3f}G | single-pass vs dense: "
             f"{self.reduction_vs_dense:.4f}"
         )
         lines.append(
@@ -200,7 +181,7 @@ def profile_model(
     return MacsReport(
         stages=tuple(train_stages),
         single_pass_total=single_pass,
-        train_per_frame=single_pass / cfg.frames,
+        train_macs_per_frame_g=single_pass / cfg.frames / GIGA,
         hypotheses=hypotheses,
         iterations=iterations,
         inference_sparse_blocks=inference_sparse_blocks,

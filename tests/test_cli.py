@@ -295,8 +295,8 @@ class TestInfer:
         assert code == EXIT_STAGE == 1
         assert "tcep: empty support" in capsys.readouterr().err
 
-    def test_overflowing_checkpoint_exits_3_and_writes_no_pose(self, tmp_path, tiny_config, generated):
-        # A subprocess: in-process, pytest turns numpy's overflow warning into a stage failure.
+    def test_overflowing_checkpoint_exits_1_at_head_and_writes_no_pose(self, tmp_path, tiny_config, generated):
+        # A subprocess: in-process, pytest turns numpy's overflow warning into an earlier stage failure.
         _, obs = generated
         ckpt, big, out = tmp_path / "p.ckpt", tmp_path / "big.ckpt", tmp_path / "x.csv"
         args = ["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(out)]
@@ -306,8 +306,8 @@ class TestInfer:
         tensors["head.w"] *= 1e308  # still finite, so the checkpoint loads
         htp_io.save_checkpoint(big, tensors)
         result = run_cli(*args, "--params", str(big))
-        assert result.returncode == EXIT_IO == 3
-        assert f"{out}: non-finite coordinates" in result.stderr
+        assert result.returncode == EXIT_STAGE == 1
+        assert result.stderr.splitlines()[-1] == "infer: head: output is not finite"
         assert not out.exists()
 
     def test_config_file_paths(self, tmp_path, generated, capsys):

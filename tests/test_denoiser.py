@@ -234,6 +234,16 @@ class TestForward:
                 gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, params
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_fails_the_head_stage(self):
+        cfg = small_cfg()
+        params = init_params(cfg, 5)
+        params.head_w = np.full_like(params.head_w, 1e308)  # finite weights whose output overflows
+        with pytest.raises(StageError, match="^head: "):
+            denoise_forward(
+                gaussian(RngStream(12), (4, 10, 3)), gaussian(RngStream(13), (4, 10, 2)), 5, cfg, params
+            )
+
     @pytest.mark.parametrize(
         "stage", [name for name, _ in profile_model(small_cfg(recompute_mask_per_block=True), 1, 1).stages]
     )

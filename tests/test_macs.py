@@ -106,6 +106,18 @@ class TestProfile:
         table = report.format_table()
         assert "single pass" in table and "reduction" in table
 
+    def test_report_keys_keep_their_order(self):
+        # `htp profile --json` consumers read these keys in this order
+        report = profile_model(DenoiserConfig(), 2, 3)
+        data = report.as_dict()
+        assert list(data) == [
+            "convention", "stages", "single_pass_total", "train_macs_per_frame_g", "hypotheses", "iterations",
+            "inference_sparse_blocks", "inference_single_pass", "inference_total", "dense_single_pass",
+            "dense_inference_total", "reduction_vs_dense", "inference_reduction",
+        ]
+        assert data["train_macs_per_frame_g"] == report.single_pass_total / DenoiserConfig().frames / 1e9
+        assert data["stages"] == [{"stage": name, "macs": count} for name, count in report.stages]
+
     def test_defaults_unmoved_by_the_support_and_refresh_charges(self):
         # a saturated mask and no refresh: criterion 7's figures stay where they were
         report = profile_model(DenoiserConfig(), 20, 10)
