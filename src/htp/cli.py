@@ -125,6 +125,10 @@ def _cmd_infer(args) -> int:
         raise ConfigError("output_3d: no output path given (use --out or config output_3d)")
     if args.oracle_y0 and (args.emit_retained or args.emit_mask):
         raise ConfigError("emit_retained/emit_mask: not available with --oracle-y0 (the network never runs)")
+    try:  # before any input is read, so an unusable step count costs nothing
+        sched = build_schedule(cfg.timesteps, cfg.schedule)
+    except (ValueError, MemoryError) as exc:  # underflowing products, or a step array too large to allocate
+        raise ConfigError(f"timesteps: no {cfg.schedule} schedule over {cfg.timesteps} steps ({exc})") from None
     for name, path in (("output_3d", cfg.output_3d), ("emit_retained", args.emit_retained),
                        ("emit_mask", args.emit_mask)):
         if path and not Path(path).parent.is_dir():  # before any work, so a bad path wastes no sampling
@@ -155,7 +159,6 @@ def _cmd_infer(args) -> int:
         def denoise(noisy, t, diag=None):
             return denoise_forward(noisy, keypoints, t, cfg, params, diagnostics=diag)
 
-    sched = build_schedule(cfg.timesteps, cfg.schedule)
     started = time.perf_counter()
     finals = []
     for h in range(cfg.hypotheses):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from time import perf_counter
 
 import numpy as np
@@ -71,7 +71,8 @@ def skeleton_adjacency(joints: int) -> np.ndarray:
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization D^-1/2 A D^-1/2 of a finite, symmetric
-    matrix whose rows all sum to > 0; DenoiserConfig.problems reports its errors."""
+    matrix whose rows all have finite sums > 0; DenoiserConfig.problems reports
+    its errors."""
     adj = np.asarray(adj, dtype=np.float64)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ShapeError(f"normalize_adjacency: expected square matrix, got {adj.shape}")
@@ -79,7 +80,10 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
         raise ValueError("entries must be finite")
     if not np.array_equal(adj, adj.T):
         raise ValueError("must be symmetric")
-    deg = adj.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below, not warned about
+        deg = adj.sum(axis=1)
+    if not np.isfinite(deg).all():
+        raise ValueError(f"row sums must be finite (rows {np.flatnonzero(~np.isfinite(deg)).tolist()} overflow)")
     if np.any(deg <= 0):
         raise ValueError(f"every row must sum to > 0 (rows {np.flatnonzero(deg <= 0).tolist()} do not)")
     inv_sqrt = 1.0 / np.sqrt(deg)
@@ -210,72 +214,59 @@ class DenoiserParams:
     head_b: np.ndarray
 
 
-def _init_attn(draw, dim: int, heads: int) -> AttnWeights:
-    return AttnWeights(
-        wq=draw((dim, dim), dim),
-        wk=draw((dim, dim), dim),
-        wv=draw((dim, dim), dim),
-        wo=draw((dim, dim), dim),
-        heads=heads,
-        ln_scale=np.ones(dim),
-        ln_shift=np.zeros(dim),
-    )
-
-
-def _init_mlp(draw, dim: int, hidden: int) -> MlpWeights:
-    return MlpWeights(
-        w1=draw((dim, hidden), dim),
-        b1=np.zeros(hidden),
-        w2=draw((hidden, dim), hidden),
-        b2=np.zeros(dim),
-        ln_scale=np.ones(dim),
-        ln_shift=np.zeros(dim),
-    )
-
-
-def _build_params(cfg: DenoiserConfig, draw) -> DenoiserParams:
-    """The one table of parameter shapes: every weight comes from
-    ``draw(shape, fan_in)`` in a fixed order; biases, norms and the learned
-    temporal overlay start at their constants."""
+def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
+    """The one parameter table. Each array is ``tensor(name, shape, init)``:
+    ``name`` is its checkpoint name, and ``init`` is an int fan-in for a drawn
+    weight or a float constant fill. Weights are drawn in call order: every
+    block, then embedding to head."""
     dim, hidden = cfg.embed_dim, cfg.mlp_hidden
-    blocks = []
-    for _ in range(cfg.blocks):
-        blocks.append(
-            BlockParams(
-                spatial_attn=_init_attn(draw, dim, cfg.heads),
-                spatial_mlp=_init_mlp(draw, dim, hidden),
-                temporal_attn=_init_attn(draw, dim, cfg.heads),
-                temporal_mlp=_init_mlp(draw, dim, hidden),
-            )
+
+    def projections(prefix: str) -> dict[str, np.ndarray]:
+        return {w: tensor(f"{prefix}.{w}", (dim, dim), dim) for w in ("wq", "wk", "wv", "wo")}
+
+    def norm(prefix: str, field: str = "ln") -> dict[str, np.ndarray]:
+        return {f"{field}_scale": tensor(f"{prefix}.{field}_scale", (dim,), 1.0),
+                f"{field}_shift": tensor(f"{prefix}.{field}_shift", (dim,), 0.0)}
+
+    def attn(prefix: str) -> AttnWeights:
+        return AttnWeights(**projections(prefix), heads=cfg.heads, **norm(prefix))
+
+    def mlp(prefix: str) -> MlpWeights:
+        return MlpWeights(
+            w1=tensor(f"{prefix}.w1", (dim, hidden), dim),
+            b1=tensor(f"{prefix}.b1", (hidden,), 0.0),
+            w2=tensor(f"{prefix}.w2", (hidden, dim), hidden),
+            b2=tensor(f"{prefix}.b2", (dim,), 0.0),
+            **norm(prefix),
         )
+
+    blocks = [
+        BlockParams(
+            spatial_attn=attn(f"block{i}.spatial.attn"),
+            spatial_mlp=mlp(f"block{i}.spatial.mlp"),
+            temporal_attn=attn(f"block{i}.temporal.attn"),
+            temporal_mlp=mlp(f"block{i}.temporal.mlp"),
+        )
+        for i in range(cfg.blocks)
+    ]
     return DenoiserParams(
-        embed_w=draw((INPUT_WIDTH, dim), INPUT_WIDTH),
-        embed_b=np.zeros(dim),
-        gcn_w=draw((dim, dim), dim),
-        spatial_pos=draw((cfg.joints, dim), dim),
-        temporal_pos=draw((cfg.frames, dim), dim),
-        entry_attn=_init_attn(draw, dim, cfg.heads),
-        entry_mlp=_init_mlp(draw, dim, hidden),
-        tcep_w=draw((dim, dim), dim),
-        adj_learned=np.zeros((cfg.frames, cfg.frames)),
-        time_w1=draw((dim, dim), dim),
-        time_b1=np.zeros(dim),
-        time_w2=draw((dim, dim), dim),
-        time_b2=np.zeros(dim),
+        embed_w=tensor("embed.w", (INPUT_WIDTH, dim), INPUT_WIDTH),
+        embed_b=tensor("embed.b", (dim,), 0.0),
+        gcn_w=tensor("gcn.w", (dim, dim), dim),
+        spatial_pos=tensor("pos.spatial", (cfg.joints, dim), dim),
+        temporal_pos=tensor("pos.temporal", (cfg.frames, dim), dim),
+        entry_attn=attn("entry.attn"),
+        entry_mlp=mlp("entry.mlp"),
+        tcep_w=tensor("tcep.w", (dim, dim), dim),
+        adj_learned=tensor("tcep.adj_learned", (cfg.frames, cfg.frames), 0.0),
+        time_w1=tensor("time.w1", (dim, dim), dim),
+        time_b1=tensor("time.b1", (dim,), 0.0),
+        time_w2=tensor("time.w2", (dim, dim), dim),
+        time_b2=tensor("time.b2", (dim,), 0.0),
         blocks=blocks,
-        cross=CrossWeights(
-            wq=draw((dim, dim), dim),
-            wk=draw((dim, dim), dim),
-            wv=draw((dim, dim), dim),
-            wo=draw((dim, dim), dim),
-            heads=cfg.heads,
-            ln_q_scale=np.ones(dim),
-            ln_q_shift=np.zeros(dim),
-            ln_kv_scale=np.ones(dim),
-            ln_kv_shift=np.zeros(dim),
-        ),
-        head_w=draw((dim, OUTPUT_WIDTH), dim),
-        head_b=np.zeros(OUTPUT_WIDTH),
+        cross=CrossWeights(**projections("cross"), heads=cfg.heads, **norm("cross", "ln_q"), **norm("cross", "ln_kv")),
+        head_w=tensor("head.w", (dim, OUTPUT_WIDTH), dim),
+        head_b=tensor("head.b", (OUTPUT_WIDTH,), 0.0),
     )
 
 
@@ -284,11 +275,13 @@ def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
     zero learned temporal overlay."""
     rng = RngStream(seed)
 
-    def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
+    def tensor(name: str, shape: tuple[int, ...], init: int | float) -> np.ndarray:
+        if isinstance(init, float):  # np.zeros leaves the pages to the allocator, so the (F, F) overlay costs no write
+            return np.zeros(shape) if init == 0.0 else np.full(shape, init)
+        bound = 1.0 / np.sqrt(init)
         return rng.uniform(-bound, bound, shape)
 
-    return _build_params(cfg, draw)
+    return _build_params(cfg, tensor)
 
 
 def pose_embed(pose_3d: np.ndarray, keypoints_2d: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,57 +433,50 @@ def dense_reference_forward(
     return linear(restored, params.head_w, params.head_b)
 
 
-def _named_tensors(params: DenoiserParams) -> dict[str, np.ndarray]:
-    out = {
-        "embed.w": params.embed_w,
-        "embed.b": params.embed_b,
-        "gcn.w": params.gcn_w,
-        "pos.spatial": params.spatial_pos,
-        "pos.temporal": params.temporal_pos,
-        "tcep.w": params.tcep_w,
-        "tcep.adj_learned": params.adj_learned,
-        "time.w1": params.time_w1,
-        "time.b1": params.time_b1,
-        "time.w2": params.time_w2,
-        "time.b2": params.time_b2,
-        "head.w": params.head_w,
-        "head.b": params.head_b,
-    }
-    groups = [("entry.attn", params.entry_attn), ("entry.mlp", params.entry_mlp)]
-    for i, blk in enumerate(params.blocks):
-        groups += [
-            (f"block{i}.spatial.attn", blk.spatial_attn),
-            (f"block{i}.spatial.mlp", blk.spatial_mlp),
-            (f"block{i}.temporal.attn", blk.temporal_attn),
-            (f"block{i}.temporal.mlp", blk.temporal_mlp),
-        ]
-    groups.append(("cross", params.cross))
-    for prefix, weights in groups:  # every array field, in declaration order
-        for f in fields(weights):
-            value = getattr(weights, f.name)
-            if isinstance(value, np.ndarray):
-                out[f"{prefix}.{f.name}"] = value
-    return out
+def _tensors_by_name(params: DenoiserParams) -> dict[str, np.ndarray]:
+    """The arrays of ``params`` under their checkpoint names, in table order.
+
+    Only the block count shapes the names, so the table is built with each
+    array's name in its place and walked alongside ``params``.
+    """
+    order, named = [], {}
+
+    def name_slot(name: str, shape: tuple[int, ...], init: int | float) -> str:
+        order.append(name)
+        return name
+
+    def pair(slot, value) -> None:
+        if isinstance(slot, str):
+            named[slot] = value
+        elif isinstance(slot, list):
+            for s, v in zip(slot, value):
+                pair(s, v)
+        elif is_dataclass(slot):
+            for f in fields(slot):
+                pair(getattr(slot, f.name), getattr(value, f.name))
+
+    pair(_build_params(DenoiserConfig(blocks=len(params.blocks), sparse_blocks=0), name_slot), params)
+    return {name: named[name] for name in order}
 
 
 def save_denoiser_params(path, params: DenoiserParams) -> None:
-    """Write all parameter tensors to a checkpoint container."""
-    htp_io.save_checkpoint(path, _named_tensors(params))
+    """Write all parameter tensors to a checkpoint container, in table order."""
+    htp_io.save_checkpoint(path, _tensors_by_name(params))
 
 
 def load_denoiser_params(path, cfg: DenoiserConfig) -> DenoiserParams:
-    """Load a checkpoint and validate every tensor's shape against the config and its values as finite."""
+    """Load a checkpoint and validate every tensor's shape against the config and
+    its values as finite; the loaded arrays become the parameters, uncopied."""
     loaded = htp_io.load_checkpoint(path)
-    template = _build_params(cfg, lambda shape, fan_in: np.empty(shape))  # every tensor is overwritten below
-    expected = _named_tensors(template)
+    expected = {}
+    _build_params(cfg, lambda name, shape, init: expected.setdefault(name, shape))
     missing = sorted(set(expected) - set(loaded))
     extra = sorted(set(loaded) - set(expected))
     if missing or extra:
         raise htp_io.FormatError(f"{path}: checkpoint mismatch: missing {missing}, unexpected {extra}")
-    for name, arr in expected.items():
-        if loaded[name].shape != arr.shape:
-            raise htp_io.FormatError(f"{path}: tensor {name}: shape {loaded[name].shape}, config expects {arr.shape}")
+    for name, shape in expected.items():
+        if loaded[name].shape != shape:
+            raise htp_io.FormatError(f"{path}: tensor {name}: shape {loaded[name].shape}, config expects {shape}")
         if not np.isfinite(loaded[name]).all():
             raise htp_io.FormatError(f"{path}: tensor {name}: non-finite values")
-        arr[...] = loaded[name]
-    return template
+    return _build_params(cfg, lambda name, shape, init: loaded[name])

@@ -29,6 +29,7 @@ from .core import _GELU_CHUNK, NEG_INF, RngStream, gaussian, gelu, layer_norm, l
 from .denoiser import (
     DenoiserConfig,
     StageError,
+    _tensors_by_name,
     denoise_forward,
     dense_reference_forward,
     init_params,
@@ -1143,10 +1144,10 @@ def check_checkpoint_roundtrip(rng):
         path = Path(tmp) / "params.ckpt"
         save_denoiser_params(path, params)
         loaded = load_denoiser_params(path, cfg)
-        if not np.array_equal(loaded.embed_w, params.embed_w):
-            return "embed weights changed in round trip"
-        if not np.array_equal(loaded.blocks[1].temporal_attn.wq, params.blocks[1].temporal_attn.wq):
-            return "block weights changed in round trip"
+        saved, back = _tensors_by_name(params), _tensors_by_name(loaded)
+        changed = [name for name in saved if not np.array_equal(back[name], saved[name])]
+        if changed:
+            return f"tensors changed in round trip: {changed}"
         a = denoise_forward(
             gaussian(RngStream(71), (cfg.joints, cfg.frames, 3)),
             gaussian(RngStream(72), (cfg.joints, cfg.frames, 2)), 50, cfg, params)

@@ -33,8 +33,10 @@ TINY = {
 }
 
 INF, NAN = float("inf"), float("nan")
-# Joint graphs that must fail at configuration: non-finite, or a row with no positive weight.
-BAD_ADJACENCIES = [[[INF, 0], [0, 1]], [[NAN, 0], [0, 1]], [[0, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 1], [1, -1]]]
+# Joint graphs that must fail at configuration: non-finite, a row with no positive weight,
+# or rows whose sums overflow.
+BAD_ADJACENCIES = [[[INF, 0], [0, 1]], [[NAN, 0], [0, 1]], [[0, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 1], [1, -1]],
+                   [[1e308, 1e308], [1e308, 1e308]]]
 
 
 def run_cli(*args, env=None):
@@ -283,7 +285,17 @@ class TestInfer:
         capsys.readouterr()
         assert main(args + ["--config", str(narrow), "--params", str(ckpt)]) == EXIT_IO
         err = capsys.readouterr().err
-        assert f"{ckpt}: tensor embed.w: shape (5, 16), config expects (5, 8)" in err
+        assert f"{ckpt}: tensor block0.spatial.attn.wq: shape (16, 16), config expects (8, 8)" in err
+
+    @pytest.mark.parametrize("timesteps", [10**5, 10**12])  # an underflowing schedule; a 7.28 TiB one
+    def test_unbuildable_schedule_is_config_error_before_any_input(self, tmp_path, tiny_config, capsys, timesteps):
+        saved, out = tmp_path / "params.ckpt", tmp_path / "x.csv"
+        # neither input exists: the schedule is built before either is read
+        code = main(["infer", "--config", tiny_config, "--T", str(timesteps), "--in-2d", str(tmp_path / "missing.csv"),
+                     "--params", str(tmp_path / "missing.ckpt"), "--save-params", str(saved), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"infer: config error: timesteps: no linear schedule over {timesteps} steps" in capsys.readouterr().err
+        assert not saved.exists() and not out.exists()
 
     def test_failing_stage_exits_1_and_names_it(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
         def broken(*args, **kwargs):

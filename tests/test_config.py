@@ -89,6 +89,7 @@ class TestValidation:
             ({"joints": 2, "joint_adjacency": [[0, 0], [0, 0]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [0, 1] do not)")),
             ({"joints": 2, "joint_adjacency": [[-1, 0], [0, 1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [0] do not)")),
             ({"joints": 2, "joint_adjacency": [[1, 1], [1, -1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [1] do not)")),
+            ({"joints": 2, "joint_adjacency": [[1e308, 1e308], [1e308, 1]]}, re.escape("joint_adjacency: row sums must be finite (rows [0] overflow)")),
         ],
     )
     def test_named_violations(self, overrides, needle):

@@ -1,6 +1,8 @@
 """Full pipeline assembly: embedding, spatial mixing, pruning, restoration."""
 
 import logging
+import tracemalloc
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from htp.core import RngStream, gaussian, gelu, linear
 from htp.denoiser import (
     DenoiserConfig,
     StageError,
+    _build_params,
+    _tensors_by_name,
     denoise_forward,
     dense_reference_forward,
     init_params,
@@ -43,6 +47,15 @@ STAGE_CALLEES = {
     "cross_mhsa": ("cross_mhsa", 0),
     "head": ("linear", 4),  # after pose_embed, spatial_gcn and the two of timestep_embedding
 }
+
+
+def leaves(tree) -> list:
+    """Every non-container field of a parameter tree, depth first in declaration order."""
+    if isinstance(tree, list):
+        return [leaf for item in tree for leaf in leaves(item)]
+    if is_dataclass(tree):
+        return [leaf for f in fields(tree) for leaf in leaves(getattr(tree, f.name))]
+    return [tree]
 
 
 def small_cfg(**kw):
@@ -348,3 +361,42 @@ class TestCheckpoints:
         loaded = load_denoiser_params(path, cfg)
         assert np.array_equal(loaded.blocks[1].temporal_mlp.w2, params.blocks[1].temporal_mlp.w2)
         assert np.array_equal(loaded.head_w, params.head_w)
+
+    def test_load_holds_no_second_payload_copy(self, tmp_path):
+        cfg = small_cfg(joints=17, frames=243, embed_dim=64, blocks=4, heads=2)
+        params = init_params(cfg, 11)
+        payload = sum(arr.nbytes for arr in _tensors_by_name(params).values())
+        path = tmp_path / "p.ckpt"
+        save_denoiser_params(path, params)
+        tracemalloc.start()
+        try:
+            loaded = load_denoiser_params(path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.temporal_pos, params.temporal_pos)
+        assert peak < 1.5 * payload, (peak, payload)
+
+    def test_every_array_field_has_exactly_one_name(self):
+        cfg = small_cfg()
+        names = []
+
+        def name_slot(name, shape, init):
+            names.append(name)
+            return name
+
+        slots, values = leaves(_build_params(cfg, name_slot)), leaves(init_params(cfg, 12))
+        assert len(slots) == len(values)
+        for slot, value in zip(slots, values):
+            assert isinstance(slot, str) == isinstance(value, np.ndarray), (slot, value)
+        assert len(set(names)) == len(names) == sum(isinstance(v, np.ndarray) for v in values)
+
+    def test_save_writes_each_array_once_in_table_order(self):
+        cfg = small_cfg()
+        params = init_params(cfg, 13)
+        names = []
+        _build_params(cfg, lambda name, shape, init: names.append(name))
+        by_name = _tensors_by_name(params)
+        assert list(by_name) == names
+        arrays = [leaf for leaf in leaves(params) if isinstance(leaf, np.ndarray)]
+        assert sorted(map(id, by_name.values())) == sorted(map(id, arrays))

@@ -13,6 +13,7 @@ Re-record (only for an intended change of behaviour, stated in CHANGES.md):
 """
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ import pytest
 
 from htp import io as htp_io
 from htp.cli import EXIT_OK, main
+from htp.config import load_config
+from htp.denoiser import _build_params
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CHECKPOINT = GOLDEN_DIR / "tiny_params.ckpt"
@@ -72,6 +75,14 @@ def test_infer_matches_golden(name, tmp_path):
 def test_recorded_checkpoint_loads_and_reproduces_golden(tmp_path):
     pose, retained = run_infer("tiny", tmp_path, "--params", str(CHECKPOINT))
     _assert_matches_golden("tiny", pose, retained)
+
+
+def test_table_names_match_recorded_checkpoint():
+    names = []
+    _build_params(load_config(None, GEOMETRIES["tiny"]), lambda name, shape, init: names.append(name))
+    with zipfile.ZipFile(CHECKPOINT) as zf:
+        recorded = json.loads(zf.read("manifest.json"))["tensors"]
+    assert sorted(names) == sorted(recorded)
 
 
 def _record(root: Path) -> None:
