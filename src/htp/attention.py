@@ -2,7 +2,9 @@
 
 The mask converts to an additive {0, -inf} mask applied to the
 pre-softmax scores, so excluded positions receive an exactly-zero weight;
-on the sparse route only the admitted pairs are scored at all. The same
+on the sparse route only the admitted pairs are scored at all. The mask is
+stored as float32, which holds both values exactly, and each add into the
+float64 scores upcasts it exactly, so the arithmetic is float64. The same
 core runs unmasked attention (no mask is passed: spatial, pruned-block and
 dense-reference attention), the feed-forward block, and length-restoring
 cross attention.
@@ -62,13 +64,13 @@ class CrossWeights:
 
 
 def to_additive_mask(mask: np.ndarray) -> np.ndarray:
-    """Map a boolean or 0/1 mask elementwise: 1 -> 0, 0 -> -inf."""
+    """Map a boolean or 0/1 mask elementwise to float32: 1 -> 0, 0 -> -inf (both exact in float32)."""
     mask = np.asarray(mask)
     if mask.dtype != bool:  # a bool mask is binary by type
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask not binary")
         mask = mask == 1
-    return np.where(mask, 0.0, NEG_INF)
+    return np.where(mask, np.float32(0.0), np.float32(NEG_INF))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -151,12 +153,15 @@ def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeig
 
 
 def _checked_mask(tokens: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray | None:
-    """add_mask as float64, or ShapeError/ValueError when it is boolean or does not fit the tokens."""
+    """add_mask, uncopied if floating and as float64 if not, or ShapeError/ValueError when it is boolean or does
+    not fit the tokens."""
     if add_mask is None:
         return None
-    if np.asarray(add_mask).dtype == bool:
+    add_mask = np.asarray(add_mask)
+    if add_mask.dtype == bool:
         raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
-    add_mask = np.asarray(add_mask, dtype=np.float64)
+    if not np.issubdtype(add_mask.dtype, np.floating):
+        add_mask = add_mask.astype(np.float64)
     expected = tokens.shape[:-1] + tokens.shape[-2:-1]  # (..., T, T) with the tokens' leading dims
     if add_mask.shape != expected:
         raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not fit tokens {tokens.shape} (expected {expected})")
@@ -178,8 +183,9 @@ def sft_mhsa(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeights) ->
     """Masked multi-head self-attention with residual over (..., T, D) tokens.
 
     add_mask holds {0, -inf} per pair, shape tokens.shape[:-1] + (T,), i.e. (..., T, T) with the same
-    leading dims as the tokens (a boolean mask goes through to_additive_mask first);
-    None means dense attention. A row with no finite entry raises ValueError("empty support").
+    leading dims as the tokens (a boolean mask goes through to_additive_mask first, which stores it
+    as float32; a floating mask is used uncopied); None means dense attention. A row with no finite
+    entry raises ValueError("empty support").
     When core.sparse_route finds a joint's finite entries sparse, only they are scored,
     exponentiated and multiplied.
     """

@@ -369,6 +369,7 @@ def denoise_forward(
     with _stage("tcep", seconds):
         fused = fuse_adjacency(cfg.temporal_base(), params.adj_learned)
         stream, mask = tcep_refine(stream, fused, params.tcep_w, cfg.corr_topk)
+        del fused
     with _stage("timestep_mlp", seconds):
         stream = stream + params.temporal_pos[None, :, :] + timestep_embedding(t, params)
 
@@ -381,6 +382,7 @@ def denoise_forward(
             if i == 0 or cfg.recompute_mask_per_block:  # a fixed mask is converted once
                 add_mask = to_additive_mask(mask)
             stream = attention_block(stream, add_mask, block.temporal_attn, block.temporal_mlp)
+    add_mask = None  # the rest runs unmasked: free the (J, F, F) additive mask before MGPTP
 
     with _stage("mgptp", seconds):
         condensed, indices = prune_frames(stream, mask, cfg.pool_threshold, cfg.knn_k, cfg.keep_frames)

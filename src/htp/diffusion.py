@@ -22,6 +22,8 @@ SCHEDULE_KINDS = ("linear", "cosine")
 _BETA_START = 1e-4
 _BETA_END = 2e-2
 _COSINE_OFFSET = 8e-3
+# e**-x rounds to 0 in float64 beyond x = 1075 ln 2 (745.13): half the smallest subnormal
+_UNDERFLOW_EXPONENT = 1075 * np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ def build_schedule(total_steps: int, kind: str = "linear") -> DiffusionSchedule:
     if total_steps < 1:
         raise ValueError(f"build_schedule: total_steps must be >= 1, got {total_steps}")
     if kind == "linear":
+        # prod(1 - beta) <= exp(-sum(beta)), and the betas sum to T (beta_start + beta_end) / 2: past
+        # the underflow exponent the product is 0, so refuse before allocating T entries
+        if total_steps * (_BETA_START + _BETA_END) / 2 > _UNDERFLOW_EXPONENT:
+            raise ValueError(f"build_schedule: cumulative products underflow to 0 within {total_steps} linear steps")
         betas = np.linspace(_BETA_START, _BETA_END, total_steps)
     elif kind == "cosine":
         s = _COSINE_OFFSET

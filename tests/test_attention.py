@@ -60,7 +60,7 @@ class TestAdditiveMask:
     def test_boolean_and_float_masks_agree(self):
         mask = _random_binary_mask(RngStream(14), 2, 5)
         from_bool = to_additive_mask(mask.astype(bool))
-        assert from_bool.dtype == np.float64
+        assert from_bool.dtype == np.float32
         assert np.array_equal(from_bool, to_additive_mask(mask))
         with pytest.raises(ValueError, match="mask not binary"):
             to_additive_mask(np.where(mask == 1.0, 2.0, 0.0))
@@ -142,6 +142,31 @@ class TestMaskedAttention:
         add[0, 0] = np.where(mask[0, 0], rng.normal((frames,)), NEG_INF)  # finite non-zero values on the hub row
         assert [sparse_route(m) for m in mask] == [True, False]
         assert np.max(np.abs(sft_mhsa(tokens, add, w) - naive_attention(tokens, add, w))) < 1e-12
+
+    def test_float32_mask_equals_its_float64_copy_bitwise(self):
+        # 0 and -inf are exact in float32, and every add into the float64 scores upcasts them exactly
+        rng = RngStream(19)
+        frames = 24
+        w, mlp = _random_attn(rng, 8, 2), _random_mlp(rng, 8, 16)
+        tokens = rng.normal((2, frames, 8))
+        mask = np.empty((2, frames, frames), dtype=bool)
+        mask[0] = np.eye(frames, dtype=bool)
+        mask[0, 0] = True  # a hub row of support F
+        mask[1] = _random_binary_mask(rng, 1, frames)[0] == 1.0
+        assert [sparse_route(m) for m in mask] == [True, False]
+        narrow = to_additive_mask(mask)
+        wide = narrow.astype(np.float64)
+        assert narrow.dtype == np.float32
+        assert np.array_equal(sft_mhsa(tokens, narrow, w), sft_mhsa(tokens, wide, w))
+        assert np.array_equal(attention_block(tokens, narrow, w, mlp), attention_block(tokens, wide, w, mlp))
+        assert np.array_equal(attention_probs(tokens, narrow, w), attention_probs(tokens, wide, w))
+
+    def test_floating_mask_is_used_uncopied(self):
+        tokens = np.zeros((2, 5, 8))
+        add = to_additive_mask(_random_binary_mask(RngStream(20), 2, 5))
+        checked = attention._checked_mask(tokens, add)
+        assert checked.dtype == np.float32 and np.shares_memory(checked, add)
+        assert attention._checked_mask(tokens, np.zeros((2, 5, 5), dtype=np.int64)).dtype == np.float64
 
     def test_heads_must_divide_dim(self):
         rng = RngStream(15)

@@ -313,6 +313,20 @@ class TestForward:
         )
         assert np.isfinite(out).all()
 
+    def test_forward_holds_less_than_one_float64_mask(self):
+        # the (J, F, F) additive mask is float32 and lives only while the masked blocks run
+        joints, frames = 17, 400
+        cfg = small_cfg(joints=joints, frames=frames, keep_frames=100, corr_topk=8, recompute_mask_per_block=True)
+        params = init_params(cfg, 8)
+        y, x = gaussian(RngStream(18), (joints, frames, 3)), gaussian(RngStream(19), (joints, frames, 2))
+        tracemalloc.start()
+        try:
+            denoise_forward(y, x, 500, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < joints * frames * frames * 8, f"traced peak {peak / 2**20:.1f} MB"
+
     def test_no_nan_across_seeds(self):
         cfg = small_cfg()
         for seed in range(10):

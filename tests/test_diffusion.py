@@ -1,6 +1,7 @@
 """Schedules, forward perturbation, DDIM stepping, aggregation, MPJPE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,22 @@ class TestSchedule:
         log_sum = sum(math.log(1 - b) for b in sched.betas)
         assert math.exp(log_sum) == pytest.approx(sched.alpha_bar(1000), rel=1e-12)
         assert sched.alpha_bar(1000) < 5e-5
+
+    def test_last_linear_schedule_before_underflow(self):
+        assert build_schedule(73_252).alpha_bar(73_252) > 0.0
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            build_schedule(73_253)
+
+    @pytest.mark.parametrize("steps", [10**7, 10**12])
+    def test_underflowing_linear_schedule_refused_before_allocating(self, steps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"underflow to 0 within {steps} linear steps"):
+                build_schedule(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
