@@ -153,15 +153,12 @@ def attention_probs(tokens: np.ndarray, add_mask: np.ndarray | None, w: AttnWeig
 
 
 def _checked_mask(tokens: np.ndarray, add_mask: np.ndarray | None) -> np.ndarray | None:
-    """add_mask, uncopied if floating and as float64 if not, or ShapeError/ValueError when it is boolean or does
-    not fit the tokens."""
+    """add_mask, uncopied, or ShapeError/ValueError when it is not floating or does not fit the tokens."""
     if add_mask is None:
         return None
     add_mask = np.asarray(add_mask)
-    if add_mask.dtype == bool:
-        raise ValueError("sft_mhsa: add_mask has dtype bool; convert a boolean mask with to_additive_mask")
     if not np.issubdtype(add_mask.dtype, np.floating):
-        add_mask = add_mask.astype(np.float64)
+        raise ValueError(f"sft_mhsa: add_mask has dtype {add_mask.dtype}; convert a boolean mask with to_additive_mask")
     expected = tokens.shape[:-1] + tokens.shape[-2:-1]  # (..., T, T) with the tokens' leading dims
     if add_mask.shape != expected:
         raise ShapeError(f"sft_mhsa: mask {add_mask.shape} does not fit tokens {tokens.shape} (expected {expected})")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as htp_io
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, load_generate_config
 from .core import RngStream, gaussian
 from .denoiser import (
     StageError,
@@ -104,12 +104,22 @@ def _read_pose(path: str, field: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = load_generate_config(args.config, {"joints": args.joints, "frames": args.frames, "seed": args.seed})
     if not (math.isfinite(args.noise_2d) and args.noise_2d >= 0.0):
         raise ConfigError(f"noise_2d: must be finite and >= 0 (got {args.noise_2d})")
-    pose_3d, pose_2d = generate_synthetic(
-        cfg.joints, cfg.frames, cfg.seed, args.kind, cfg.camera_model(), noise_2d=args.noise_2d
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite projection is reported below
+            pose_3d, pose_2d = generate_synthetic(
+                cfg.joints, cfg.frames, cfg.seed, args.kind, cfg.camera_model(), noise_2d=args.noise_2d
+            )
+    except MemoryError as exc:  # a (J, F) geometry numpy refuses to allocate
+        raise ConfigError(f"joints, frames: cannot allocate ({cfg.joints}, {cfg.frames}) poses ({exc})") from None
+    if not np.isfinite(pose_2d).all():  # before either file is opened, so a failure writes neither
+        raise ConfigError(f"camera: the generated poses project to non-finite pixels "
+                          f"(camera {cfg.camera}, noise_2d {args.noise_2d})")
+    for name, path in (("out_3d", args.out_3d), ("out_2d", args.out_2d)):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{name}: directory of {path} does not exist")
     htp_io.write_pose_csv(args.out_3d, pose_3d)
     htp_io.write_pose_csv(args.out_2d, pose_2d)
     print(f"generate: wrote {args.out_3d} and {args.out_2d} "
@@ -152,7 +162,10 @@ def _cmd_infer(args) -> int:
         if args.params:
             params = load_denoiser_params(args.params, cfg)
         else:
-            params = init_params(cfg, root.child(0).seed)
+            try:
+                params = init_params(cfg, root.child(0).seed)
+            except MemoryError as exc:  # a tensor numpy refuses to allocate, named by init_params
+                raise ConfigError(f"parameters: cannot allocate {exc}") from None
         if args.save_params:
             save_denoiser_params(args.save_params, params)
 

@@ -78,12 +78,24 @@ class RunConfig(DenoiserConfig):
         return CameraModel(**{k: float(self.camera[k]) for k in _CAMERA_KEYS})
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus overrides (flags win).
+GENERATE_FIELDS = ("joints", "frames", "seed", "camera")
 
-    Unknown keys are rejected; every violated constraint is reported with its
-    field name.
+
+@dataclass(frozen=True)
+class GenerateConfig(RunConfig):
+    """The RunConfig fields `htp generate` reads, checked with RunConfig's messages.
+
+    Every other field keeps its default and goes unchecked, so a geometry that
+    only the network constrains (say frames < keep_frames) is no reason to refuse.
     """
+
+    def problems(self) -> list[str]:
+        return [p for p in super().problems() if p.split(":", 1)[0] in GENERATE_FIELDS]
+
+
+def _config_data(path: str | Path | None, overrides: dict | None) -> dict:
+    """The JSON file's object with the non-None overrides on top; malformed
+    JSON and unknown keys are ConfigErrors."""
     data: dict = {}
     if path is not None:
         try:
@@ -100,5 +112,19 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
+    return data
 
-    return RunConfig(**data)
+
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from an optional JSON file plus overrides (flags win).
+
+    Unknown keys are rejected; every violated constraint is reported with its
+    field name.
+    """
+    return RunConfig(**_config_data(path, overrides))
+
+
+def load_generate_config(path: str | Path | None = None, overrides: dict | None = None) -> GenerateConfig:
+    """load_config for `htp generate`: the same keys are refused, but only the
+    GENERATE_FIELDS are taken and checked."""
+    return GenerateConfig(**{k: v for k, v in _config_data(path, overrides).items() if k in GENERATE_FIELDS})

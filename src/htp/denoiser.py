@@ -195,6 +195,7 @@ class BlockParams:
 
 @dataclass
 class DenoiserParams:
+    blocks: list[BlockParams]  # first, as in the table, so _leaves walks the arrays in table order
     embed_w: np.ndarray
     embed_b: np.ndarray
     gcn_w: np.ndarray
@@ -208,7 +209,6 @@ class DenoiserParams:
     time_b1: np.ndarray
     time_w2: np.ndarray
     time_b2: np.ndarray
-    blocks: list[BlockParams]
     cross: CrossWeights
     head_w: np.ndarray
     head_b: np.ndarray
@@ -250,6 +250,7 @@ def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
         for i in range(cfg.blocks)
     ]
     return DenoiserParams(
+        blocks=blocks,
         embed_w=tensor("embed.w", (INPUT_WIDTH, dim), INPUT_WIDTH),
         embed_b=tensor("embed.b", (dim,), 0.0),
         gcn_w=tensor("gcn.w", (dim, dim), dim),
@@ -263,7 +264,6 @@ def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
         time_b1=tensor("time.b1", (dim,), 0.0),
         time_w2=tensor("time.w2", (dim, dim), dim),
         time_b2=tensor("time.b2", (dim,), 0.0),
-        blocks=blocks,
         cross=CrossWeights(**projections("cross"), heads=cfg.heads, **norm("cross", "ln_q"), **norm("cross", "ln_kv")),
         head_w=tensor("head.w", (dim, OUTPUT_WIDTH), dim),
         head_b=tensor("head.b", (OUTPUT_WIDTH,), 0.0),
@@ -272,14 +272,18 @@ def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
 
 def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
     """Seeded parameter set: uniform(+-1/sqrt(fan_in)) weights, zero biases,
-    zero learned temporal overlay."""
+    zero learned temporal overlay. A tensor numpy cannot allocate raises
+    MemoryError("<name> <shape>")."""
     rng = RngStream(seed)
 
     def tensor(name: str, shape: tuple[int, ...], init: int | float) -> np.ndarray:
-        if isinstance(init, float):  # np.zeros leaves the pages to the allocator, so the (F, F) overlay costs no write
-            return np.zeros(shape) if init == 0.0 else np.full(shape, init)
-        bound = 1.0 / np.sqrt(init)
-        return rng.uniform(-bound, bound, shape)
+        try:
+            if isinstance(init, float):  # np.zeros leaves the pages to the allocator: the (F, F) overlay costs no write
+                return np.zeros(shape) if init == 0.0 else np.full(shape, init)
+            bound = 1.0 / np.sqrt(init)
+            return rng.uniform(-bound, bound, shape)
+        except MemoryError:
+            raise MemoryError(f"{name} {shape}") from None
 
     return _build_params(cfg, tensor)
 
@@ -435,30 +439,23 @@ def dense_reference_forward(
     return linear(restored, params.head_w, params.head_b)
 
 
+def _leaves(tree) -> list:
+    """Every non-container field of a parameter tree, depth first in declaration order."""
+    if isinstance(tree, list):
+        return [leaf for item in tree for leaf in _leaves(item)]
+    if is_dataclass(tree):
+        return [leaf for f in fields(tree) for leaf in _leaves(getattr(tree, f.name))]
+    return [tree]
+
+
 def _tensors_by_name(params: DenoiserParams) -> dict[str, np.ndarray]:
     """The arrays of ``params`` under their checkpoint names, in table order.
 
     Only the block count shapes the names, so the table is built with each
-    array's name in its place and walked alongside ``params``.
+    array's name in its place and flattened alongside ``params``.
     """
-    order, named = [], {}
-
-    def name_slot(name: str, shape: tuple[int, ...], init: int | float) -> str:
-        order.append(name)
-        return name
-
-    def pair(slot, value) -> None:
-        if isinstance(slot, str):
-            named[slot] = value
-        elif isinstance(slot, list):
-            for s, v in zip(slot, value):
-                pair(s, v)
-        elif is_dataclass(slot):
-            for f in fields(slot):
-                pair(getattr(slot, f.name), getattr(value, f.name))
-
-    pair(_build_params(DenoiserConfig(blocks=len(params.blocks), sparse_blocks=0), name_slot), params)
-    return {name: named[name] for name in order}
+    names = _build_params(DenoiserConfig(blocks=len(params.blocks), sparse_blocks=0), lambda name, shape, init: name)
+    return {name: leaf for name, leaf in zip(_leaves(names), _leaves(params)) if isinstance(name, str)}
 
 
 def save_denoiser_params(path, params: DenoiserParams) -> None:

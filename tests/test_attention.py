@@ -166,7 +166,8 @@ class TestMaskedAttention:
         add = to_additive_mask(_random_binary_mask(RngStream(20), 2, 5))
         checked = attention._checked_mask(tokens, add)
         assert checked.dtype == np.float32 and np.shares_memory(checked, add)
-        assert attention._checked_mask(tokens, np.zeros((2, 5, 5), dtype=np.int64)).dtype == np.float64
+        with pytest.raises(ValueError, match="dtype int64"):
+            attention._checked_mask(tokens, np.zeros((2, 5, 5), dtype=np.int64))
 
     def test_heads_must_divide_dim(self):
         rng = RngStream(15)

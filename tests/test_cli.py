@@ -85,6 +85,38 @@ class TestGenerate:
         assert Path(generated[0]).read_bytes() == Path(gt2).read_bytes()
         assert Path(generated[1]).read_bytes() == Path(obs2).read_bytes()
 
+    @pytest.mark.parametrize("frames", [40, 6])
+    def test_frames_below_keep_frames_accepted_at_defaults(self, tmp_path, frames):
+        # generate reads joints, frames, seed and camera; keep_frames (54 by default) constrains only the network
+        out_3d, out_2d = tmp_path / "gt.csv", tmp_path / "obs.csv"
+        assert main(["generate", "--joints", "17", "--frames", str(frames),
+                     "--out-3d", str(out_3d), "--out-2d", str(out_2d)]) == 0
+        assert htp_io.read_pose_csv(out_2d).shape == (17, frames, 2)
+
+    @pytest.mark.parametrize("config,message", [
+        ({"frames": 0}, "frames: must be >= 1 (got 0)"),
+        ({"bogus": 1}, "unknown config keys: ['bogus']"),
+        ({"joints": 2, "frames": 6, "camera": {"fx": 1e308, "fy": 1e308, "cx": 512.0, "cy": 512.0}},
+         "camera: the generated poses project to non-finite pixels"),
+        ({"joints": 10**17, "frames": 6}, "joints, frames: cannot allocate"),  # 2 EiB: refused without allocating
+    ])
+    def test_config_error_writes_neither_file(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out_3d, out_2d = tmp_path / "gt.csv", tmp_path / "obs.csv"
+        code = main(["generate", "--config", str(path), "--out-3d", str(out_3d), "--out-2d", str(out_2d)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out_3d.exists() and not out_2d.exists()
+
+    def test_missing_output_directory_writes_neither_file(self, tmp_path, tiny_config, capsys):
+        out_3d = tmp_path / "gt.csv"
+        code = main(["generate", "--config", tiny_config, "--out-3d", str(out_3d),
+                     "--out-2d", str(tmp_path / "missing" / "obs.csv")])
+        assert code == EXIT_IO
+        assert "out_2d: directory" in capsys.readouterr().err
+        assert not out_3d.exists()
+
 
 class TestInfer:
     def test_deterministic_outputs(self, tmp_path, tiny_config, generated):
@@ -296,6 +328,17 @@ class TestInfer:
         assert code == EXIT_CONFIG
         assert f"infer: config error: timesteps: no linear schedule over {timesteps} steps" in capsys.readouterr().err
         assert not saved.exists() and not out.exists()
+
+    def test_unallocatable_parameters_are_config_error(self, tmp_path, generated, capsys):
+        # a (10**9, 10**9) float64 is 6.94 EiB: numpy refuses it without touching memory
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({**TINY, "embed_dim": 10**9, "heads": 1}))
+        out, ckpt = tmp_path / "out.csv", tmp_path / "p.ckpt"
+        _, obs = generated
+        code = main(["infer", "--config", str(config), "--in-2d", obs, "--out", str(out), "--save-params", str(ckpt)])
+        assert code == EXIT_CONFIG
+        assert "block0.spatial.attn.wq (1000000000, 1000000000)" in capsys.readouterr().err
+        assert not out.exists() and not ckpt.exists()
 
     def test_failing_stage_exits_1_and_names_it(self, tmp_path, tiny_config, generated, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -2,7 +2,6 @@
 
 import logging
 import tracemalloc
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from htp.denoiser import (
     DenoiserConfig,
     StageError,
     _build_params,
+    _leaves,
     _tensors_by_name,
     denoise_forward,
     dense_reference_forward,
@@ -47,15 +47,6 @@ STAGE_CALLEES = {
     "cross_mhsa": ("cross_mhsa", 0),
     "head": ("linear", 4),  # after pose_embed, spatial_gcn and the two of timestep_embedding
 }
-
-
-def leaves(tree) -> list:
-    """Every non-container field of a parameter tree, depth first in declaration order."""
-    if isinstance(tree, list):
-        return [leaf for item in tree for leaf in leaves(item)]
-    if is_dataclass(tree):
-        return [leaf for f in fields(tree) for leaf in leaves(getattr(tree, f.name))]
-    return [tree]
 
 
 def small_cfg(**kw):
@@ -399,7 +390,7 @@ class TestCheckpoints:
             names.append(name)
             return name
 
-        slots, values = leaves(_build_params(cfg, name_slot)), leaves(init_params(cfg, 12))
+        slots, values = _leaves(_build_params(cfg, name_slot)), _leaves(init_params(cfg, 12))
         assert len(slots) == len(values)
         for slot, value in zip(slots, values):
             assert isinstance(slot, str) == isinstance(value, np.ndarray), (slot, value)
@@ -412,5 +403,17 @@ class TestCheckpoints:
         _build_params(cfg, lambda name, shape, init: names.append(name))
         by_name = _tensors_by_name(params)
         assert list(by_name) == names
-        arrays = [leaf for leaf in leaves(params) if isinstance(leaf, np.ndarray)]
+        arrays = [leaf for leaf in _leaves(params) if isinstance(leaf, np.ndarray)]
         assert sorted(map(id, by_name.values())) == sorted(map(id, arrays))
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_flattened_name_tree_is_the_table_call_order(self, blocks):
+        cfg = small_cfg(blocks=blocks, sparse_blocks=1)
+        calls = []
+
+        def name_slot(name, shape, init):
+            calls.append(name)
+            return name
+
+        flattened = [leaf for leaf in _leaves(_build_params(cfg, name_slot)) if isinstance(leaf, str)]
+        assert flattened == calls
