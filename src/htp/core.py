@@ -4,7 +4,7 @@ All functions operate on float64 numpy arrays and are pure. Matrices are
 row-major 2-D arrays, token tensors are 3-D (joints x frames x features).
 The only stateful object is :class:`RngStream`, which owns an explicit
 counter-based generator and is never shared across threads; parallel work
-derives child streams instead.
+derives child streams or starts streams at offsets into one sequence instead.
 """
 
 from __future__ import annotations
@@ -166,12 +166,18 @@ class RngStream:
     """Seeded counter-based random stream (Philox), reproducible across platforms.
 
     Identical seeds produce bitwise-identical sample sequences. A stream is
-    single-owner; use :meth:`child` to split work deterministically.
+    single-owner. Work is split into independent streams (:meth:`child`) or
+    into runs of one sequence: ``RngStream(seed, start=n)`` begins n uint64
+    draws into the sequence of ``seed``, and a float64 uniform takes one
+    uint64, so its uniforms are bitwise those that follow the first n.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, start: int = 0):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+        bits = np.random.Philox(self.seed)
+        bits.advance(start // 4)  # one Philox4x64 counter step yields 4 uint64
+        bits.random_raw(start % 4)
+        self._gen = np.random.Generator(bits)
 
     def normal(self, shape: tuple[int, ...]) -> np.ndarray:
         return self._gen.standard_normal(size=shape, dtype=np.float64)

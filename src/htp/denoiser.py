@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import groupby
 from time import perf_counter
 
 import numpy as np
@@ -49,6 +52,12 @@ TEMPORAL_GRAPHS = ("chain", "full")
 # Values each declared config field type accepts; joint_adjacency is converted instead.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str, "dict": dict,
                 "str | None": (str, type(None)), "int | None": (numbers.Integral, type(None))}
+
+# Uniform draws per init_params thread; a config with fewer draws runs on the
+# calling thread, with no pool. Two threads against one, measured at J=17,
+# F=243, 4 blocks (2 cores, medians of alternating calls): 1.2-1.9x the time
+# at 25k-345k draws, 0.93x at 763k, 0.59-0.70x from 1.3M up.
+_DRAWS_PER_WORKER = 1 << 20
 
 INPUT_WIDTH = 5  # 3-D pose concatenated with the 2-D keypoints
 OUTPUT_WIDTH = 3
@@ -217,8 +226,10 @@ class DenoiserParams:
 def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
     """The one parameter table. Each array is ``tensor(name, shape, init)``:
     ``name`` is its checkpoint name, and ``init`` is an int fan-in for a drawn
-    weight or a float constant fill. Weights are drawn in call order: every
-    block, then embedding to head."""
+    weight or a float constant fill. init_params draws the weights in call
+    order (every block, then embedding to head) from one sequence, so a
+    weight's offset into it is the element count of the weights called before
+    it."""
     dim, hidden = cfg.embed_dim, cfg.mlp_hidden
 
     def projections(prefix: str) -> dict[str, np.ndarray]:
@@ -271,21 +282,83 @@ def _build_params(cfg: DenoiserConfig, tensor) -> DenoiserParams:
 
 
 def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
-    """Seeded parameter set: uniform(+-1/sqrt(fan_in)) weights, zero biases,
-    zero learned temporal overlay. A tensor numpy cannot allocate raises
-    MemoryError("<name> <shape>")."""
-    rng = RngStream(seed)
+    """Seeded parameter set: uniform(+-1/sqrt(fan_in)) weights, drawn in table
+    order from one Philox sequence of ``seed``, zero biases, zero learned
+    temporal overlay.
 
-    def tensor(name: str, shape: tuple[int, ...], init: int | float) -> np.ndarray:
-        try:
-            if isinstance(init, float):  # np.zeros leaves the pages to the allocator: the (F, F) overlay costs no write
-                return np.zeros(shape) if init == 0.0 else np.full(shape, init)
-            bound = 1.0 / np.sqrt(init)
-            return rng.uniform(-bound, bound, shape)
-        except MemoryError:
-            raise MemoryError(f"{name} {shape}") from None
+    The draws run on min(usable cores, ceil(draws / _DRAWS_PER_WORKER))
+    threads (see _init_params), with values that do not depend on the count.
+    A tensor numpy cannot allocate raises MemoryError("<name> <shape>"): the
+    first drawn one in table order, before any draw, else the first constant
+    one.
+    """
+    return _init_params(cfg, seed, None)
 
-    return _build_params(cfg, tensor)
+
+def _init_params(cfg: DenoiserConfig, seed: int, workers: int | None) -> DenoiserParams:
+    """init_params on ``workers`` threads (None: the count init_params uses).
+
+    The drawn tensors are cut into contiguous runs of about equal draw count,
+    and each run is drawn from a stream that starts at the run's offset into
+    the sequence, tensor by tensor in table order, so the values are bitwise
+    those of one sequential walk of the table. Each drawn tensor is first
+    allocated and freed in table order, so a tensor numpy refuses raises before
+    any run starts, as one sequential walk would stop at it. A single run is
+    drawn in the calling thread, with no pool. The constants are filled in the
+    calling thread, while the result is assembled, once every draw has
+    succeeded.
+    """
+    drawn, draws = [], 0
+
+    def collect(name: str, shape: tuple[int, ...], init: int | float) -> None:
+        nonlocal draws
+        if not isinstance(init, float):
+            with _named_allocation(name, shape):  # np.empty touches no page
+                np.empty(shape)
+            drawn.append((draws, name, shape, init))
+            draws += math.prod(shape)
+
+    def assemble(name: str, shape: tuple[int, ...], init: int | float) -> np.ndarray:
+        if not isinstance(init, float):
+            return arrays[name]
+        with _named_allocation(name, shape):  # np.zeros leaves the pages to the allocator: the (F, F) overlay costs no write
+            return np.zeros(shape) if init == 0.0 else np.full(shape, init)
+
+    _build_params(cfg, collect)
+    if workers is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cores, -(-draws // _DRAWS_PER_WORKER))
+    runs = [list(run) for _, run in groupby(drawn, key=lambda entry: entry[0] * workers // draws)]
+    if len(runs) == 1:
+        arrays = _draw_run(seed, runs[0])
+    else:
+        arrays = {}
+        with ThreadPoolExecutor(len(runs)) as pool:  # joins every worker on exit, also on a failure
+            # results come in run order, so an error names the first failing tensor in table order
+            for run_arrays in pool.map(lambda run: _draw_run(seed, run), runs):
+                arrays.update(run_arrays)
+    return _build_params(cfg, assemble)
+
+
+def _draw_run(seed: int, run: list) -> dict[str, np.ndarray]:
+    """Draw a contiguous run of ``(offset, name, shape, fan_in)`` table entries
+    from one stream of ``seed`` started at the run's first offset."""
+    rng = RngStream(seed, start=run[0][0])
+    arrays = {}
+    for _, name, shape, fan_in in run:
+        bound = 1.0 / np.sqrt(fan_in)
+        with _named_allocation(name, shape):
+            arrays[name] = rng.uniform(-bound, bound, shape)
+    return arrays
+
+
+@contextmanager
+def _named_allocation(name: str, shape: tuple[int, ...]):
+    """Re-raise a MemoryError as MemoryError("<name> <shape>")."""
+    try:
+        yield
+    except MemoryError:
+        raise MemoryError(f"{name} {shape}") from None
 
 
 def pose_embed(pose_3d: np.ndarray, keypoints_2d: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

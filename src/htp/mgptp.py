@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import NEG_INF, ShapeError, softmax_rows
 
-MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel
+MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel; never less than one ulp
 DISTANCE_BLOCK = 16  # rows of masked_distance per pass: a (16, F, D) difference is 6 MB at F=729, D=64
 
 
@@ -54,7 +54,8 @@ def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]
         raw[lo:hi, lo:] = np.sqrt(diff.sum(axis=-1))
         raw[hi:, lo:hi] = raw[lo:hi, hi:].T
     raw /= np.sqrt(dim)
-    far = float(raw.max()) + MASK_MARGIN
+    top = float(raw.max())
+    far = max(top + MASK_MARGIN, float(np.nextafter(top, np.inf)))  # from about 2**34 the margin rounds away
     dist = np.where(mask == 1, raw, far)
     return dist, far
 

@@ -1368,6 +1368,36 @@ def check_topk_mask_infinite_and_tied_scores(rng):
     return ""
 
 
+def naive_init_params(cfg: DenoiserConfig, seed: int):
+    """One sequential walk of the parameter table on one stream: each drawn tensor is the next
+    uniform(+-1/sqrt(fan_in)) run of RngStream(seed), each constant a fill."""
+    stream = RngStream(seed)
+
+    def tensor(name, shape, init):
+        if isinstance(init, float):
+            return np.full(shape, init)
+        bound = 1.0 / np.sqrt(init)
+        return stream.uniform(-bound, bound, shape)
+
+    return htp_denoiser._build_params(cfg, tensor)
+
+
+def check_init_params_worker_split(rng):
+    """init_params split over 1, 2 and 3 worker threads, each drawing its run of tensors from a stream
+    started at the run's offset, equals one sequential walk of the table, bitwise (one config with an
+    odd embed_dim, so no tensor size is a multiple of Philox's 4-draw block)."""
+    for cfg in (_small_cfg(), _small_cfg(embed_dim=7, heads=1, mlp_ratio=1.5)):
+        seed = int(rng.uniform(0, 2**31, ()))
+        expected = htp_denoiser._leaves(naive_init_params(cfg, seed))
+        for workers in (1, 2, 3):
+            got = htp_denoiser._leaves(htp_denoiser._init_params(cfg, seed, workers))
+            if len(got) != len(expected) or not all(
+                np.array_equal(a, b) and np.shape(a) == np.shape(b) for a, b in zip(got, expected)
+            ):
+                return f"embed_dim={cfg.embed_dim}, seed {seed}: {workers} workers differ from one sequential walk"
+    return ""
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
@@ -1416,6 +1446,7 @@ CHECKS = [
     ("synthetic_and_camera_loop", check_synthetic_and_camera_loop),
     ("similarity_exactly_symmetric", check_similarity_exactly_symmetric),
     ("topk_mask_infinite_and_tied_scores", check_topk_mask_infinite_and_tied_scores),
+    ("init_params_worker_split", check_init_params_worker_split),
 ]
 
 

@@ -48,6 +48,7 @@ def test_verify_checks_keep_their_names_and_order():
         "denoiser_determinism", "gcn_matches_naive", "timestep_embedding", "checkpoint_roundtrip",
         "macs_examples", "macs_acceptance", "htp1_roundtrip", "pose_csv_roundtrip", "config_rejection",
         "synthetic_and_camera_loop", "similarity_exactly_symmetric", "topk_mask_infinite_and_tied_scores",
+        "init_params_worker_split",
     ]
 
 

@@ -276,6 +276,11 @@ class TestRng:
         assert a.seed != b.seed
         assert RngStream(42).child(0).seed == a.seed  # pure function of (seed, index)
 
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 2**20 + 3])
+    def test_offset_stream_continues_one_sequential_draw(self, start):
+        sequential = RngStream(11).uniform(-0.5, 0.5, (start + 9,))
+        assert np.array_equal(RngStream(11, start=start).uniform(-0.5, 0.5, (9,)), sequential[start:])
+
     def test_moments_large_sample(self):
         # CLT oracle: 3 sigma / sqrt(n) ~ 0.003 for n = 1e6
         sample = gaussian(RngStream(99), (1_000_000,))

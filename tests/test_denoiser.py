@@ -1,6 +1,7 @@
 """Full pipeline assembly: embedding, spatial mixing, pruning, restoration."""
 
 import logging
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from htp.denoiser import (
     DenoiserConfig,
     StageError,
     _build_params,
+    _init_params,
     _leaves,
     _tensors_by_name,
     denoise_forward,
@@ -29,7 +31,7 @@ from htp.denoiser import (
     timestep_features,
 )
 from htp.macs import profile_model
-from htp.verify import naive_gcn
+from htp.verify import naive_gcn, naive_init_params
 
 
 # For small_cfg(recompute_mask_per_block=True): a module-global callee of
@@ -328,6 +330,71 @@ class TestForward:
                 seed * 100, cfg, params,
             )
             assert np.isfinite(out).all()
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("cfg", [small_cfg(), small_cfg(embed_dim=7, heads=1, mlp_ratio=1.5)])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    def test_any_worker_count_is_one_sequential_walk_bitwise(self, cfg, workers):
+        expected = _leaves(naive_init_params(cfg, 21))
+        got = _leaves(_init_params(cfg, 21, workers))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+    def test_no_worker_outlives_the_call(self):
+        before = threading.active_count()
+        _init_params(small_cfg(), 22, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("frames", [243, 729])  # smoke_infer and long_sparse: 344,832 and 375,936 draws
+    def test_small_configs_draw_on_the_calling_thread(self, monkeypatch, frames):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(htp.denoiser, "ThreadPoolExecutor", refuse)
+        init_params(small_cfg(joints=17, frames=frames, embed_dim=64, blocks=4, heads=2), 23)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_worker_reports_first_failing_tensor_and_fills_nothing(self, monkeypatch, workers):
+        cfg = small_cfg()
+        hidden = (cfg.embed_dim, cfg.mlp_hidden)
+        draw, allocate, allocated = RngStream.uniform, htp.denoiser._named_allocation, []
+
+        def uniform(self, low, high, shape):
+            if shape == hidden:  # every mlp's w1, in every worker's run
+                raise MemoryError
+            return draw(self, low, high, shape)
+
+        def named_allocation(name, shape):
+            allocated.append(name)
+            return allocate(name, shape)
+
+        monkeypatch.setattr(RngStream, "uniform", uniform)
+        monkeypatch.setattr(htp.denoiser, "_named_allocation", named_allocation)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=r"^block0\.spatial\.mlp\.w1 \(16, 32\)$"):
+            _init_params(cfg, 24, workers)
+        assert threading.active_count() == threads
+        constants = []
+        _build_params(cfg, lambda name, shape, init: isinstance(init, float) and constants.append(name))
+        assert allocated and not set(allocated) & set(constants)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_unallocatable_tensor_is_named_before_any_draw(self, monkeypatch, workers):
+        # a (10**9, 10**9) float64 is 6.94 EiB: numpy refuses it without touching memory; at W = 2
+        # the second run starts at pos.spatial (64, 10**9), which an overcommitting OS could map
+        cfg = small_cfg(embed_dim=10**9, heads=1, blocks=1, sparse_blocks=1, joints=64)
+        drawn = []
+
+        def uniform(self, low, high, shape):
+            drawn.append(shape)
+            raise MemoryError
+
+        monkeypatch.setattr(RngStream, "uniform", uniform)
+        with pytest.raises(MemoryError, match=r"^block0\.spatial\.attn\.wq \(1000000000, 1000000000\)$"):
+            _init_params(cfg, 25, workers)
+        assert drawn == []
 
 
 class TestCheckpoints:

@@ -35,3 +35,11 @@ def test_cli_and_a_forward_leave_scipy_spatial_unimported():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_cli_starts_no_thread():
+    # init_params starts its draw workers per call, never at import
+    code = "import threading, htp.cli\nprint(threading.active_count())\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"

@@ -79,6 +79,13 @@ class TestMaskedDistance:
         assert far == 4.0 + 1e-6
         assert dist[0, 2] == far and dist[2, 0] == far
 
+    def test_sentinel_exceeds_a_distance_the_margin_cannot_lift(self):
+        # 1e-6 is under half an ulp of 3e10, so max + MASK_MARGIN rounds back to the max
+        mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 1]], dtype=float)
+        dist, far = masked_distance(np.array([[0.0], [3e10], [1.0]]), mask)
+        assert dist[0, 1] == 3e10 and far == np.nextafter(3e10, np.inf)
+        assert dist[1, 2] == dist[2, 1] == far
+
     def test_identical_tokens(self):
         dist, far = _full_distance(np.zeros((4, 3)))
         assert far == 1e-6
