@@ -103,10 +103,21 @@ def _read_pose(path: str, field: str, shape: tuple[int, ...]) -> np.ndarray:
     return pose
 
 
+def _check_outputs(*named_paths: tuple[str, str | None]) -> None:
+    """Refuse, before any work, an output path that cannot be opened for writing: its directory must exist and
+    the path must not be a directory. A failure is an I/O error (exit 3) that names the field."""
+    for name, path in named_paths:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{name}: directory of {path} does not exist")
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(f"{name}: {path} is a directory")
+
+
 def _cmd_generate(args) -> int:
     cfg = load_generate_config(args.config, {"joints": args.joints, "frames": args.frames, "seed": args.seed})
     if not (math.isfinite(args.noise_2d) and args.noise_2d >= 0.0):
         raise ConfigError(f"noise_2d: must be finite and >= 0 (got {args.noise_2d})")
+    _check_outputs(("out_3d", args.out_3d), ("out_2d", args.out_2d))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite projection is reported below
             pose_3d, pose_2d = generate_synthetic(
@@ -117,9 +128,6 @@ def _cmd_generate(args) -> int:
     if not np.isfinite(pose_2d).all():  # before either file is opened, so a failure writes neither
         raise ConfigError(f"camera: the generated poses project to non-finite pixels "
                           f"(camera {cfg.camera}, noise_2d {args.noise_2d})")
-    for name, path in (("out_3d", args.out_3d), ("out_2d", args.out_2d)):
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{name}: directory of {path} does not exist")
     htp_io.write_pose_csv(args.out_3d, pose_3d)
     htp_io.write_pose_csv(args.out_2d, pose_2d)
     print(f"generate: wrote {args.out_3d} and {args.out_2d} "
@@ -133,16 +141,15 @@ def _cmd_infer(args) -> int:
         raise ConfigError("input_2d: no 2-D input file given (use --in-2d or config input_2d)")
     if cfg.output_3d is None:
         raise ConfigError("output_3d: no output path given (use --out or config output_3d)")
-    if args.oracle_y0 and (args.emit_retained or args.emit_mask):
-        raise ConfigError("emit_retained/emit_mask: not available with --oracle-y0 (the network never runs)")
+    network_only = [name for name in ("params", "save_params", "emit_retained", "emit_mask") if getattr(args, name)]
+    if args.oracle_y0 and network_only:
+        raise ConfigError(f"{', '.join(network_only)}: not available with --oracle-y0 (the network never runs)")
     try:  # before any input is read, so an unusable step count costs nothing
         sched = build_schedule(cfg.timesteps, cfg.schedule)
     except (ValueError, MemoryError) as exc:  # underflowing products, or a step array too large to allocate
         raise ConfigError(f"timesteps: no {cfg.schedule} schedule over {cfg.timesteps} steps ({exc})") from None
-    for name, path in (("output_3d", cfg.output_3d), ("emit_retained", args.emit_retained),
-                       ("emit_mask", args.emit_mask)):
-        if path and not Path(path).parent.is_dir():  # before any work, so a bad path wastes no sampling
-            raise FileNotFoundError(f"{name}: directory of {path} does not exist")
+    _check_outputs(("output_3d", cfg.output_3d), ("emit_retained", args.emit_retained),
+                   ("emit_mask", args.emit_mask), ("save_params", args.save_params))
 
     keypoints = _read_pose(cfg.input_2d, "input_2d", (cfg.joints, cfg.frames, 2))
     shape = (cfg.joints, cfg.frames, 3)
@@ -208,6 +215,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_profile(args) -> int:
     cfg = _config_from_args(args)
+    _check_outputs(("json_out", args.json_out))
     report = profile_model(cfg, cfg.hypotheses, cfg.iterations, cfg.inference_sparse_blocks)
     print(report.format_table())
     if mask_support_rows(cfg.frames, cfg.corr_topk) == cfg.frames:

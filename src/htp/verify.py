@@ -2,8 +2,14 @@
 
 Every oracle here is an independent straight-loop reimplementation of the
 operation it checks: plain Python loops over indices, no shared code with
-the fast paths. The suite runner executes all checks, prints one line per
-property, and reports overall success.
+the fast paths. The loop oracles share one copy of each naive step:
+``naive_matmul`` runs every inner product (similarities, projections,
+attention scores and contexts, the GCN mix), ``naive_softmax`` every masked
+row, ``naive_gelu`` every GELU, ``_naive_layer_norm`` every LayerNorm and
+``naive_topk_choices`` every top-k pick. Only the MGPTP distance loop,
+``naive_knn_density`` and the JPMA argmin are loops of their own. The suite
+runner executes all checks, prints one line per property, and reports
+overall success.
 """
 
 from __future__ import annotations
@@ -92,6 +98,28 @@ def naive_softmax(values):
     return [e / total for e in exps]
 
 
+def naive_gelu(u):
+    """Exact (erf) GELU of one scalar."""
+    return 0.5 * u * (1.0 + math.erf(u / math.sqrt(2.0)))
+
+
+def _naive_gelu_residual(x, update):
+    """x + gelu(update), entry by entry, for two (n, D) arrays."""
+    return np.array([[xv + naive_gelu(u) for xv, u in zip(x_row, u_row)] for x_row, u_row in zip(x, update)])
+
+
+def _naive_layer_norm(row, scale, shift, eps=1e-5):
+    n = len(row)
+    mean = sum(row) / n
+    var = sum((v - mean) ** 2 for v in row) / n
+    return [(v - mean) / math.sqrt(var + eps) * s + b for v, s, b in zip(row, scale, shift)]
+
+
+def _naive_layer_norm_rows(rows, scale, shift):
+    """_naive_layer_norm of each row of an (n, D) array."""
+    return np.array([_naive_layer_norm(list(row), scale, shift) for row in rows])
+
+
 def naive_topk_choices(scores, top_k):
     """Stable-sort directed top-k selection: chosen[p] is the set row p picks."""
     frames = len(scores)
@@ -123,91 +151,56 @@ def naive_tcep_refine(tokens, fused, weight, top_k):
     refined = np.zeros_like(tokens)
     masks = np.zeros((joints, frames, frames))
     for j in range(joints):
-        sim = [[sum(tokens[j, p, i] * tokens[j, q, i] for i in range(dim)) / math.sqrt(dim)
-                for q in range(frames)] for p in range(frames)]
+        sim = naive_matmul(tokens[j], tokens[j].T) / math.sqrt(dim)
         mask = naive_topk_mask(sim, top_k)
         masks[j] = mask
-        gated = np.zeros((frames, frames))
-        for p in range(frames):
-            row = [sim[p][q] if mask[p, q] == 1.0 else NEG_INF for q in range(frames)]
-            soft = naive_softmax(row)
-            for q in range(frames):
-                gated[p, q] = fused[p, q] * soft[q]
-        mixed = naive_matmul(gated, tokens[j])
-        update = naive_matmul(mixed, weight)
-        for p in range(frames):
-            for i in range(dim):
-                u = update[p, i]
-                refined[j, p, i] = tokens[j, p, i] + 0.5 * u * (1.0 + math.erf(u / math.sqrt(2.0)))
+        rows = [[sim[p, q] if mask[p, q] == 1.0 else NEG_INF for q in range(frames)] for p in range(frames)]
+        gated = [[fused[p, q] * s for q, s in enumerate(naive_softmax(row))] for p, row in enumerate(rows)]
+        refined[j] = _naive_gelu_residual(tokens[j], naive_matmul(naive_matmul(gated, tokens[j]), weight))
     return refined, masks
 
 
-def _naive_layer_norm(row, scale, shift, eps=1e-5):
-    n = len(row)
-    mean = sum(row) / n
-    var = sum((v - mean) ** 2 for v in row) / n
-    return [(v - mean) / math.sqrt(var + eps) * s + b for v, s, b in zip(row, scale, shift)]
-
-
 def _naive_mha(q, k, v, heads, wo, add_mask=None):
-    """Loop multi-head attention of projected query rows over key/value rows, projected by wo.
-
-    add_mask, when given, is one joint's (Tq, Tk) additive mask.
-    """
-    dim = len(q[0])
-    dk = dim // heads
-    heads_out = np.zeros((len(q), dim))
+    """Loop multi-head attention of (Tq, D) projected queries over (Tk, D) projected keys and values,
+    projected by wo; add_mask, when given, is one joint's (Tq, Tk) additive mask."""
+    dk = q.shape[1] // heads
+    context = np.zeros(q.shape)
     for h in range(heads):
-        lo, hi = h * dk, (h + 1) * dk
-        for p in range(len(q)):
-            scores = []
-            for r in range(len(k)):
-                s = sum(q[p][lo:hi] * k[r][lo:hi]) / math.sqrt(dk)
-                if add_mask is not None:
-                    s = s + add_mask[p][r]
-                scores.append(s)
-            probs = naive_softmax(scores)
-            for r in range(len(k)):
-                heads_out[p, lo:hi] += probs[r] * v[r][lo:hi]
-    return naive_matmul(heads_out, wo)
+        cols = slice(h * dk, (h + 1) * dk)
+        scores = naive_matmul(q[:, cols], k[:, cols].T) / math.sqrt(dk)
+        if add_mask is not None:
+            scores = scores + add_mask
+        context[:, cols] = naive_matmul([naive_softmax(list(row)) for row in scores], v[:, cols])
+    return naive_matmul(context, wo)
 
 
 def naive_attention(tokens, add_mask, w: AttnWeights):
     """Loop reimplementation of masked MHSA with residual; tokens is (J, F, D)."""
-    joints, frames, _ = tokens.shape
     out = np.zeros_like(tokens)
-    for j in range(joints):
-        normed = [np.array(_naive_layer_norm(list(tokens[j, p]), w.ln_scale, w.ln_shift)) for p in range(frames)]
-        q = [naive_matmul([normed[p]], w.wq)[0] for p in range(frames)]
-        k = [naive_matmul([normed[p]], w.wk)[0] for p in range(frames)]
-        v = [naive_matmul([normed[p]], w.wv)[0] for p in range(frames)]
+    for j in range(tokens.shape[0]):
+        normed = _naive_layer_norm_rows(tokens[j], w.ln_scale, w.ln_shift)
+        q, k, v = (naive_matmul(normed, proj) for proj in (w.wq, w.wk, w.wv))
         out[j] = tokens[j] + _naive_mha(q, k, v, w.heads, w.wo, None if add_mask is None else add_mask[j])
     return out
 
 
 def naive_cross_attention(full, condensed, w: CrossWeights):
     """Loop reimplementation of cross attention with residual: (J, F, D) queries over (J, f, D) keys/values."""
-    joints, frames, _ = full.shape
     out = np.zeros_like(full)
-    for j in range(joints):
-        normed_q = [_naive_layer_norm(list(full[j, p]), w.ln_q_scale, w.ln_q_shift) for p in range(frames)]
-        normed_kv = [_naive_layer_norm(list(row), w.ln_kv_scale, w.ln_kv_shift) for row in condensed[j]]
-        q = [naive_matmul([row], w.wq)[0] for row in normed_q]
-        k = [naive_matmul([row], w.wk)[0] for row in normed_kv]
-        v = [naive_matmul([row], w.wv)[0] for row in normed_kv]
+    for j in range(full.shape[0]):
+        q = naive_matmul(_naive_layer_norm_rows(full[j], w.ln_q_scale, w.ln_q_shift), w.wq)
+        normed_kv = _naive_layer_norm_rows(condensed[j], w.ln_kv_scale, w.ln_kv_shift)
+        k, v = naive_matmul(normed_kv, w.wk), naive_matmul(normed_kv, w.wv)
         out[j] = full[j] + _naive_mha(q, k, v, w.heads, w.wo)
     return out
 
 
 def naive_ffn(tokens, mlp: MlpWeights):
-    joints, frames, dim = tokens.shape
     out = np.zeros_like(tokens)
-    for j in range(joints):
-        for p in range(frames):
-            normed = _naive_layer_norm(list(tokens[j, p]), mlp.ln_scale, mlp.ln_shift)
-            hidden = naive_matmul([normed], mlp.w1)[0] + mlp.b1
-            hidden = np.array([0.5 * h * (1.0 + math.erf(h / math.sqrt(2.0))) for h in hidden])
-            out[j, p] = tokens[j, p] + naive_matmul([hidden], mlp.w2)[0] + mlp.b2
+    for j in range(tokens.shape[0]):
+        hidden = naive_matmul(_naive_layer_norm_rows(tokens[j], mlp.ln_scale, mlp.ln_shift), mlp.w1) + mlp.b1
+        hidden = [[naive_gelu(h) for h in row] for row in hidden]
+        out[j] = tokens[j] + naive_matmul(hidden, mlp.w2) + mlp.b2
     return out
 
 
@@ -217,13 +210,20 @@ def naive_gcn(tokens, adj, w):
     norm = [[adj[i][j] / math.sqrt(deg[i] * deg[j]) for j in range(joints)] for i in range(joints)]
     out = np.zeros_like(tokens)
     for f in range(frames):
-        mixed = naive_matmul(norm, tokens[:, f, :])
-        update = naive_matmul(mixed, w)
-        for j in range(joints):
-            for i in range(dim):
-                u = update[j, i]
-                out[j, f, i] = tokens[j, f, i] + 0.5 * u * (1.0 + math.erf(u / math.sqrt(2.0)))
+        out[:, f, :] = _naive_gelu_residual(tokens[:, f, :], naive_matmul(naive_matmul(norm, tokens[:, f, :]), w))
     return out
+
+
+def naive_knn_density(dist, k):
+    """Gaussian-kernel density over each frame's k nearest others; every frame tied with the k-th is a
+    member, and the kernel still divides by k."""
+    frames = len(dist)
+    density = []
+    for p in range(frames):
+        others = sorted(dist[p][q] for q in range(frames) if q != p)
+        members = [q for q in range(frames) if q != p and dist[p][q] <= others[k - 1]]
+        density.append(math.exp(-sum(dist[p][q] ** 2 for q in members) / k))
+    return density
 
 
 def naive_prune_indices(tokens, mask, threshold, k, keep):
@@ -235,16 +235,11 @@ def naive_prune_indices(tokens, mask, threshold, k, keep):
 
     raw = [[math.sqrt(sum((pooled[p][i] - pooled[q][i]) ** 2 for i in range(dim))) / math.sqrt(dim)
             for q in range(frames)] for p in range(frames)]
-    far = max(max(row) for row in raw) + 1e-6
+    top = max(max(row) for row in raw)
+    far = max(top + 1e-6, math.nextafter(top, math.inf))  # past every raw distance, also where 1e-6 rounds away
     dist = [[raw[p][q] if pooled_mask[p][q] == 1.0 else far for q in range(frames)] for p in range(frames)]
 
-    density = []
-    for p in range(frames):
-        others = sorted(dist[p][q] for q in range(frames) if q != p)
-        kth = others[k - 1]
-        members = [q for q in range(frames) if q != p and dist[p][q] <= kth]
-        density.append(math.exp(-sum(dist[p][q] ** 2 for q in members) / k))
-
+    density = naive_knn_density(dist, k)
     support = [sum(pooled_mask[p]) for p in range(frames)]
     stability = [s if s > 0 else NEG_INF for s in support]
     weights = naive_softmax(stability)
@@ -254,10 +249,7 @@ def naive_prune_indices(tokens, mask, threshold, k, keep):
     for p in range(frames):
         denser = [q for q in range(frames)
                   if response[q] > response[p] or (response[q] == response[p] and q < p)]
-        if denser:
-            separation.append(min(dist[p][q] for q in denser))
-        else:
-            separation.append(max(dist[p]))
+        separation.append(min(dist[p][q] for q in denser) if denser else max(dist[p]))
 
     saliency = [separation[p] * response[p] for p in range(frames)]
     order = sorted(range(frames), key=lambda p: (-saliency[p], p))[:keep]
@@ -385,7 +377,7 @@ def check_gelu_layer_norm(rng):
     if np.max(np.abs(flat)) > 1e-2:
         return "constant row not driven to ~0"
     long = rng.normal((2 * _GELU_CHUNK + 5,)) * 3.0  # crosses two chunk boundaries
-    ref = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in long.tolist()])
+    ref = np.array([naive_gelu(v) for v in long.tolist()])
     if np.max(np.abs(gelu(long) - ref)) > 1e-12:
         return "gelu across chunk boundaries departs from math.erf by more than 1e-12"
     return ""

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import htp.denoiser
+import htp.verify
 from htp import io as htp_io
-from htp.cli import EXIT_CONFIG, EXIT_IO, EXIT_STAGE, main
+from htp.cli import EXIT_CONFIG, EXIT_IO, EXIT_STAGE, EXIT_VERIFY, main
 
 TINY = {
     "joints": 4,
@@ -116,6 +117,13 @@ class TestGenerate:
         assert code == EXIT_IO
         assert "out_2d: directory" in capsys.readouterr().err
         assert not out_3d.exists()
+
+    def test_output_path_that_is_a_directory_writes_neither_file(self, tmp_path, tiny_config, capsys):
+        out_2d = tmp_path / "obs.csv"
+        code = main(["generate", "--config", tiny_config, "--out-3d", str(tmp_path), "--out-2d", str(out_2d)])
+        assert code == EXIT_IO
+        assert f"out_3d: {tmp_path} is a directory" in capsys.readouterr().err
+        assert not out_2d.exists()
 
 
 class TestInfer:
@@ -308,6 +316,54 @@ class TestInfer:
         assert str(missing) in capsys.readouterr().err
         assert not saved.exists() and not out.exists()
 
+    @pytest.mark.parametrize("flag,field", [("--out", "output_3d"), ("--emit-retained", "emit_retained"),
+                                            ("--emit-mask", "emit_mask"), ("--save-params", "save_params")])
+    def test_output_path_that_is_a_directory_exits_3_before_any_work(self, tmp_path, tiny_config, generated,
+                                                                     monkeypatch, capsys, flag, field):
+        _, obs = generated
+        directory, out = tmp_path / "taken", tmp_path / "x.csv"
+        directory.mkdir()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer drew parameters or ran a forward pass before checking its output paths")
+
+        monkeypatch.setattr("htp.cli.init_params", refuse)
+        monkeypatch.setattr("htp.cli.denoise_forward", refuse)
+        outputs = {"--out": str(out), flag: str(directory)}
+        args = ["infer", "--config", tiny_config, "--in-2d", obs]
+        code = main(args + [arg for pair in outputs.items() for arg in pair])
+        assert code == EXIT_IO
+        assert f"infer: i/o error: {field}: {directory} is a directory" in capsys.readouterr().err
+        assert not out.exists() and list(directory.iterdir()) == []
+
+    def test_save_params_into_missing_directory_exits_3_before_drawing(self, tmp_path, tiny_config, generated,
+                                                                       monkeypatch, capsys):
+        _, obs = generated
+        missing, out = tmp_path / "absent" / "p.ckpt", tmp_path / "x.csv"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer drew parameters before checking --save-params")
+
+        monkeypatch.setattr("htp.cli.init_params", refuse)
+        code = main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(out),
+                     "--save-params", str(missing)])
+        assert code == EXIT_IO
+        assert f"infer: i/o error: save_params: directory of {missing} does not exist" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--params", "--save-params", "--emit-retained", "--emit-mask"])
+    def test_network_only_flag_with_oracle_is_config_error_before_any_input(self, tmp_path, tiny_config, capsys,
+                                                                             flag):
+        named, out = tmp_path / "named.file", tmp_path / "x.csv"
+        missing = str(tmp_path / "missing.csv")  # no input exists: the flag is refused before any is read
+        code = main(["infer", "--config", tiny_config, "--in-2d", missing, "--oracle-y0", missing,
+                     "--out", str(out), flag, str(named)])
+        assert code == EXIT_CONFIG
+        field = flag[2:].replace("-", "_")
+        assert (f"infer: config error: {field}: not available with --oracle-y0 (the network never runs)"
+                in capsys.readouterr().err)
+        assert not named.exists() and not out.exists()
+
     def test_checkpoint_shape_mismatch_names_file_and_tensor(self, tmp_path, tiny_config, generated, capsys):
         _, obs = generated
         ckpt, narrow = tmp_path / "params.ckpt", tmp_path / "narrow.json"
@@ -429,6 +485,13 @@ class TestProfile:
         assert data["hypotheses"] == 20 and data["iterations"] == 10
         assert data["inference_total"] == data["inference_single_pass"] * 200
 
+    def test_json_into_missing_directory_exits_3_before_the_table(self, tmp_path, capsys):
+        missing = tmp_path / "absent" / "r.json"
+        assert main(["profile", "--json", str(missing)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"profile: i/o error: json_out: directory of {missing} does not exist" in captured.err
+        assert captured.out == ""
+
     def test_saturated_mask_reported_at_defaults(self, capsys):
         assert main(["profile"]) == 0
         assert "temporal mask saturated" in capsys.readouterr().out
@@ -469,3 +532,29 @@ class TestProfile:
         result = run_cli("profile", "--config", str(path))
         assert result.returncode == 2
         assert "wat" in result.stderr
+
+
+class TestVerify:
+    def test_failing_and_raising_checks_exit_4_and_the_suite_runs_on(self, monkeypatch, capsys):
+        ran = []
+
+        def passing(rng):
+            ran.append("passing")
+            return ""
+
+        def raising(rng):
+            ran.append("raising")
+            raise ZeroDivisionError("no frames to divide by")
+
+        def failing(rng):
+            ran.append("failing")
+            return "oracle and fast path disagree"
+
+        monkeypatch.setattr(htp.verify, "CHECKS", [("passing", passing), ("raising", raising), ("failing", failing)])
+        assert main(["verify"]) == EXIT_VERIFY == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert ran == ["passing", "raising", "failing"]
+        assert [line.split(" (")[0] for line in lines[:3]] == ["PASS  passing", "FAIL  raising", "FAIL  failing"]
+        assert lines[1].endswith("s): ZeroDivisionError: no frames to divide by")
+        assert lines[2].endswith("s): oracle and fast path disagree")
+        assert lines[3].startswith("verify: 1/3 checks passed in ")

@@ -18,7 +18,7 @@ from htp.mgptp import (
     select_and_prune,
     separation_distance,
 )
-from htp.verify import _random_binary_mask, naive_prune_indices
+from htp.verify import _random_binary_mask, naive_knn_density, naive_prune_indices
 
 
 def _full_distance(tokens):
@@ -139,10 +139,7 @@ class TestDensity:
             dist, _ = _full_distance(tokens)
             k = 1 + trial % (frames - 1) if frames > 1 else 1
             fast = knn_density(dist, k)
-            for p in range(frames):
-                others = sorted(dist[p][q] for q in range(frames) if q != p)
-                members = [q for q in range(frames) if q != p and dist[p][q] <= others[k - 1]]
-                expect = math.exp(-sum(dist[p][q] ** 2 for q in members) / k)
+            for p, expect in enumerate(naive_knn_density(dist, k)):
                 # summation order differs between numpy and the loop: allow 1 ulp
                 assert math.isclose(fast[p], expect, rel_tol=1e-14, abs_tol=0.0)
 
