@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, admitted_pairs, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route
+from .core import (
+    NEG_INF, ShapeError, admitted_pairs, bool_mask, gelu, layer_norm, linear, softmax_rows, sparse_mix, sparse_route,
+)
 
 _PAIR_CHUNK = 1024  # pairs scored per pass: two (1024, D) gathers are 1 MB at D=64
 _BLOCK_ROWS = 512  # token rows per block pass: a (512, 3072) FFN activation is 12.6 MB at paper geometry
@@ -64,13 +66,8 @@ class CrossWeights:
 
 
 def to_additive_mask(mask: np.ndarray) -> np.ndarray:
-    """Map a boolean or 0/1 mask elementwise to float32: 1 -> 0, 0 -> -inf (both exact in float32)."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool:  # a bool mask is binary by type
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask not binary")
-        mask = mask == 1
-    return np.where(mask, np.float32(0.0), np.float32(NEG_INF))
+    """Map a boolean mask elementwise to float32: True -> 0, False -> -inf (both exact in float32)."""
+    return np.where(bool_mask(mask, "to_additive_mask"), np.float32(0.0), np.float32(NEG_INF))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:

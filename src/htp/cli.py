@@ -114,12 +114,15 @@ def _check_outputs(*named_paths: tuple[str, str | None]) -> None:
 
 
 def _cmd_generate(args) -> int:
+    for name in ("out_3d", "out_2d"):  # required, so "" is not "not given" as for the optional paths
+        if not getattr(args, name):
+            raise ConfigError(f"{name}: no output path given")
     cfg = load_generate_config(args.config, {"joints": args.joints, "frames": args.frames, "seed": args.seed})
     if not (math.isfinite(args.noise_2d) and args.noise_2d >= 0.0):
         raise ConfigError(f"noise_2d: must be finite and >= 0 (got {args.noise_2d})")
     _check_outputs(("out_3d", args.out_3d), ("out_2d", args.out_2d))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite projection is reported below
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing pixel noise is reported below
             pose_3d, pose_2d = generate_synthetic(
                 cfg.joints, cfg.frames, cfg.seed, args.kind, cfg.camera_model(), noise_2d=args.noise_2d
             )
@@ -137,9 +140,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.input_2d is None:
+    if not cfg.input_2d:  # None or "": only the optional paths read "" as "not given"
         raise ConfigError("input_2d: no 2-D input file given (use --in-2d or config input_2d)")
-    if cfg.output_3d is None:
+    if not cfg.output_3d:
         raise ConfigError("output_3d: no output path given (use --out or config output_3d)")
     network_only = [name for name in ("params", "save_params", "emit_retained", "emit_mask") if getattr(args, name)]
     if args.oracle_y0 and network_only:

@@ -64,6 +64,14 @@ def sparse_route(admitted: np.ndarray) -> bool:
     return np.count_nonzero(admitted) < SPARSE_ROUTE_DENSITY * admitted.size
 
 
+def bool_mask(mask, caller: str) -> np.ndarray:
+    """mask as an array, or ValueError naming its dtype unless it is boolean: a 0/1 float mask is refused, not read."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"{caller}: mask has dtype {mask.dtype}; expected bool")
+    return mask
+
+
 def admitted_pairs(admitted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR pattern ``(rows, cols, indptr)`` of the set entries of a boolean (F, F) matrix, in row-major order.
 

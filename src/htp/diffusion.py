@@ -152,10 +152,10 @@ class CameraModel:
             raise ValueError(f"camera focal lengths must be positive, got ({self.fx}, {self.fy})")
 
     def project(self, points: np.ndarray) -> np.ndarray:
-        """Project (..., 3) points; callers must handle nonpositive depth."""
+        """Project (..., 3) points; callers must handle nonpositive depth and overflow to +-inf pixels."""
         points = np.asarray(points, dtype=np.float64)
         z = points[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = self.fx * points[..., 0] / z + self.cx
             v = self.fy * points[..., 1] / z + self.cy
         return np.stack([u, v], axis=-1)
@@ -164,7 +164,8 @@ class CameraModel:
 def jpma_aggregate(poses: np.ndarray, keypoints_2d: np.ndarray, camera: CameraModel) -> np.ndarray:
     """Per joint and frame, keep the one of the (H, J, F, 3) hypotheses whose
     reprojection best matches the 2-D input; hypotheses behind the camera are
-    disqualified and a fully-disqualified position falls back to hypothesis 0.
+    disqualified, a reprojection error that overflows is inf (so it loses to any
+    finite one), and a position with no finite error falls back to hypothesis 0.
     """
     poses = np.asarray(poses, dtype=np.float64)
     if poses.ndim != 4 or poses.shape[0] < 1:
@@ -175,7 +176,8 @@ def jpma_aggregate(poses: np.ndarray, keypoints_2d: np.ndarray, camera: CameraMo
             f"jpma_aggregate: keypoints {keypoints_2d.shape} do not match hypotheses {poses.shape}"
         )
     projected = camera.project(poses)  # (H, J, F, 2)
-    err = np.linalg.norm(projected - keypoints_2d[None], axis=-1)
+    with np.errstate(over="ignore"):  # an error past the float range is inf, so it loses to every finite one
+        err = np.linalg.norm(projected - keypoints_2d[None], axis=-1)
     err = np.where(poses[..., 2] > 0, err, np.inf)
     best = np.argmin(err, axis=0)  # ties and all-inf both resolve to index 0
     j_idx, f_idx = np.meshgrid(np.arange(poses.shape[1]), np.arange(poses.shape[2]), indexing="ij")

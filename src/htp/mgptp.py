@@ -2,7 +2,7 @@
 
 Tokens and the temporal mask are average-pooled over joints; pairwise frame
 distances are pushed beyond the valid range wherever the pooled mask is
-zero; kNN local density, a connectivity-weighted response density, and the
+False; kNN local density, a connectivity-weighted response density, and the
 distance to the nearest denser frame combine into a saliency score whose
 top-f frames are kept in temporal order.
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NEG_INF, ShapeError, softmax_rows
+from .core import NEG_INF, ShapeError, bool_mask, softmax_rows
 
 MASK_MARGIN = 1e-6  # added to the max pairwise distance to form the sentinel; never less than one ulp
 DISTANCE_BLOCK = 16  # rows of masked_distance per pass: a (16, F, D) difference is 6 MB at F=729, D=64
@@ -22,14 +22,14 @@ DISTANCE_BLOCK = 16  # rows of masked_distance per pass: a (16, F, D) difference
 def pool_tokens_and_mask(
     tokens: np.ndarray, mask: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average (J, F, D) tokens and (J, F, F) masks over the joint axis into
-    (F, D) tokens and a boolean (F, F) mask.
+    """Average (J, F, D) tokens and boolean (J, F, F) masks over the joint axis
+    into (F, D) tokens and a boolean (F, F) mask.
 
     threshold is in (0, 1]; a pooled entry is True iff its average >= threshold.
     The diagonal stays True because every per-joint mask carries self-loops.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    mask = np.asarray(mask)
+    mask = bool_mask(mask, "pool_tokens_and_mask")
     if tokens.ndim != 3 or mask.ndim != 3:
         raise ShapeError(f"pool_tokens_and_mask: expected 3-D inputs, got {tokens.shape}, {mask.shape}")
     if not 0.0 < threshold <= 1.0:
@@ -39,7 +39,7 @@ def pool_tokens_and_mask(
 
 def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
     """Scaled pairwise Euclidean distances between the rows of (F, D) pooled
-    tokens, with pairs outside the (F, F) pooled mask at a sentinel.
+    tokens, with pairs outside the boolean (F, F) pooled mask at a sentinel.
 
     The sentinel strictly exceeds every raw pairwise distance.
     """
@@ -56,7 +56,7 @@ def masked_distance(z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]
     raw /= np.sqrt(dim)
     top = float(raw.max())
     far = max(top + MASK_MARGIN, float(np.nextafter(top, np.inf)))  # from about 2**34 the margin rounds away
-    dist = np.where(mask == 1, raw, far)
+    dist = np.where(bool_mask(mask, "masked_distance"), raw, far)
     return dist, far
 
 
@@ -79,13 +79,13 @@ def knn_density(dist: np.ndarray, k: int) -> np.ndarray:
 
 
 def response_density(density: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Weight local density by the softmax of per-frame mask support.
+    """Weight local density by the softmax of per-frame support in the boolean (F, F) mask.
 
     Self-loops keep support >= 1 on the forward path; only a caller's mask with
     an empty row reaches the zero-support branch, which gives that frame 0.
     """
     density = np.asarray(density, dtype=np.float64)
-    support = np.asarray(mask).sum(axis=1)
+    support = bool_mask(mask, "response_density").sum(axis=1)
     if density.shape != support.shape:
         raise ShapeError(f"response_density: lengths differ: {density.shape} vs {support.shape}")
     stability = np.where(support > 0, support, NEG_INF)

@@ -86,15 +86,6 @@ def select_topk_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
     return mask
 
 
-def mask_similarity(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Keep scores on the support of a boolean or 0/1 mask, set everything else to -inf."""
-    scores = np.asarray(scores, dtype=np.float64)
-    mask = np.asarray(mask)
-    if scores.shape != mask.shape:
-        raise ShapeError(f"mask_similarity: shapes {scores.shape} and {mask.shape} differ")
-    return np.where(mask == 1, scores, NEG_INF)
-
-
 def tcep_refine(
     tokens: np.ndarray, fused: np.ndarray, weight: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +117,7 @@ def tcep_refine(
             rows, cols, _ = pairs = admitted_pairs(mask[j])
             mixed[j] = sparse_mix(sim[rows, cols], pairs, tokens[j], fused)
         else:
-            gated = mask_similarity(sim, mask[j])
+            gated = np.where(mask[j], sim, NEG_INF)
             softmax_rows(gated, out=gated)
             gated *= fused
             mixed[j] = gated @ tokens[j]

@@ -68,7 +68,7 @@ from .mgptp import (
     separation_distance,
 )
 from .synthetic import generate_synthetic
-from .tcep import chain_adjacency, frame_similarity, fuse_adjacency, mask_similarity, select_topk_mask, tcep_refine
+from .tcep import chain_adjacency, frame_similarity, fuse_adjacency, select_topk_mask, tcep_refine
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +133,26 @@ def naive_topk_choices(scores, top_k):
 
 
 def naive_topk_mask(scores, top_k):
-    """Stable-sort top-k mask oracle: lower index wins ties, OR symmetrized."""
+    """Stable-sort top-k boolean mask oracle: lower index wins ties, OR symmetrized."""
     frames = len(scores)
     if frames < 2:
-        return np.ones((frames, frames))
+        return np.ones((frames, frames), dtype=bool)
     chosen = naive_topk_choices(scores, top_k)
-    mask = np.zeros((frames, frames))
+    mask = np.zeros((frames, frames), dtype=bool)
     for p in range(frames):
         for q in range(frames):
-            if p == q or q in chosen[p] or p in chosen[q]:
-                mask[p, q] = 1.0
+            mask[p, q] = p == q or q in chosen[p] or p in chosen[q]
     return mask
 
 
 def naive_tcep_refine(tokens, fused, weight, top_k):
     joints, frames, dim = tokens.shape
     refined = np.zeros_like(tokens)
-    masks = np.zeros((joints, frames, frames))
+    masks = np.zeros((joints, frames, frames), dtype=bool)
     for j in range(joints):
         sim = naive_matmul(tokens[j], tokens[j].T) / math.sqrt(dim)
-        mask = naive_topk_mask(sim, top_k)
-        masks[j] = mask
-        rows = [[sim[p, q] if mask[p, q] == 1.0 else NEG_INF for q in range(frames)] for p in range(frames)]
+        masks[j] = mask = naive_topk_mask(sim, top_k)
+        rows = [[sim[p, q] if mask[p, q] else NEG_INF for q in range(frames)] for p in range(frames)]
         gated = [[fused[p, q] * s for q, s in enumerate(naive_softmax(row))] for p, row in enumerate(rows)]
         refined[j] = _naive_gelu_residual(tokens[j], naive_matmul(naive_matmul(gated, tokens[j]), weight))
     return refined, masks
@@ -230,14 +228,14 @@ def naive_prune_indices(tokens, mask, threshold, k, keep):
     """Loop reimplementation of the whole pruning chain; returns kept indices."""
     joints, frames, dim = tokens.shape
     pooled = [[sum(tokens[j, p, i] for j in range(joints)) / joints for i in range(dim)] for p in range(frames)]
-    pooled_mask = [[1.0 if sum(mask[j, p, q] for j in range(joints)) / joints >= threshold else 0.0
-                    for q in range(frames)] for p in range(frames)]
+    pooled_mask = [[sum(mask[j, p, q] for j in range(joints)) / joints >= threshold for q in range(frames)]
+                   for p in range(frames)]
 
     raw = [[math.sqrt(sum((pooled[p][i] - pooled[q][i]) ** 2 for i in range(dim))) / math.sqrt(dim)
             for q in range(frames)] for p in range(frames)]
     top = max(max(row) for row in raw)
     far = max(top + 1e-6, math.nextafter(top, math.inf))  # past every raw distance, also where 1e-6 rounds away
-    dist = [[raw[p][q] if pooled_mask[p][q] == 1.0 else far for q in range(frames)] for p in range(frames)]
+    dist = [[raw[p][q] if pooled_mask[p][q] else far for q in range(frames)] for p in range(frames)]
 
     density = naive_knn_density(dist, k)
     support = [sum(pooled_mask[p]) for p in range(frames)]
@@ -311,11 +309,10 @@ def _random_mlp(rng, dim, hidden):
 
 
 def _random_binary_mask(rng, joints, frames):
-    """Random symmetric binary mask with unit diagonal."""
-    mask = (rng.uniform(0.0, 1.0, (joints, frames, frames)) < 0.5).astype(np.float64)
-    mask = np.maximum(mask, np.swapaxes(mask, 1, 2))
-    for j in range(joints):
-        np.fill_diagonal(mask[j], 1.0)
+    """Random symmetric boolean mask with a True diagonal."""
+    mask = rng.uniform(0.0, 1.0, (joints, frames, frames)) < 0.5
+    mask = mask | np.swapaxes(mask, 1, 2)
+    mask[:, range(frames), range(frames)] = True
     return mask
 
 
@@ -426,7 +423,7 @@ def check_mask_construction_suite(rng):
         mask = select_topk_mask(scores, top_k)
         if not np.array_equal(mask, mask.T):
             return f"trial {trial}: mask not symmetric"
-        if not np.all(np.diag(mask) == 1.0):
+        if not np.diag(mask).all():
             return f"trial {trial}: diagonal not all ones"
         k = min(top_k, frames - 1)
         if mask.sum(axis=1).min() < k + 1:
@@ -435,12 +432,12 @@ def check_mask_construction_suite(rng):
             return f"trial {trial}: disagrees with stable-sort oracle"
     # pinned instance: top-1 of hand-written scores
     s = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-    if not np.array_equal(select_topk_mask(s, 1), np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)):
+    if not np.array_equal(select_topk_mask(s, 1), np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)):
         return "hand instance mismatch"
     # tie rule: equal scores select the lower frame index
     tie = np.array([[0.0, 3.0, 3.0], [3.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
     mask = select_topk_mask(tie, 1)
-    if mask[0, 1] != 1.0:
+    if not mask[0, 1]:
         return "tie did not resolve to the lower index"
     return ""
 
@@ -494,12 +491,12 @@ def check_masked_similarity_softmax(rng):
         tokens = rng.normal((frames, 4))
         sim = frame_similarity(tokens)
         mask = select_topk_mask(sim, 2)
-        soft = np.stack([softmax_rows(row) for row in mask_similarity(sim, mask)])
+        soft = np.stack([softmax_rows(row) for row in np.where(mask, sim, NEG_INF)])
         if np.max(np.abs(soft.sum(axis=1) - 1.0)) > 1e-12:
             return "rows do not sum to 1"
-        if np.any(soft[mask == 0.0] != 0.0):
+        if np.any(soft[~mask] != 0.0):
             return "support leaked outside the mask"
-        if np.any(soft[mask == 1.0] <= 0.0):
+        if np.any(soft[mask] <= 0.0):
             return "support entry vanished"
     return ""
 
@@ -570,7 +567,7 @@ def check_attention_dense_equivalence(rng):
         dim = 4 * heads
         tokens = rng.normal((joints, frames, dim))
         w = _random_attn(rng, dim, heads)
-        full = to_additive_mask(np.ones((joints, frames, frames)))
+        full = to_additive_mask(np.ones((joints, frames, frames), dtype=bool))
         fast = sft_mhsa(tokens, full, w)
         dense = naive_attention(tokens, None, w)
         if np.max(np.abs(fast - dense)) >= 1e-12:
@@ -587,7 +584,7 @@ def check_attention_masked_zero_rowsum(rng):
         mask = _random_binary_mask(rng, joints, frames)
         add = to_additive_mask(mask)
         probs = attention_probs(tokens, add, w)  # (J, h, F, F)
-        masked_positions = np.broadcast_to((mask == 0.0)[:, None, :, :], probs.shape)
+        masked_positions = np.broadcast_to(~mask[:, None, :, :], probs.shape)
         if np.any(probs[masked_positions] != 0.0):
             return "masked position weight not exactly zero"
         if np.max(np.abs(probs.sum(axis=-1) - 1.0)) > 1e-12:
@@ -601,11 +598,12 @@ def check_attention_masked_zero_rowsum(rng):
     tokens = rng.normal((1, 4, 4))
     if not np.array_equal(sft_mhsa(tokens, None, w0), tokens):
         return "zero value projection did not reduce to the residual"
-    try:
-        to_additive_mask(np.array([[0.5]]))
-        return "non-binary mask accepted"
-    except ValueError:
-        pass
+    for non_boolean in (np.array([[0.5]]), np.eye(2)):  # a 0/1 float mask is refused like any other
+        try:
+            to_additive_mask(non_boolean)
+            return "non-boolean mask accepted"
+        except ValueError:
+            pass
     return ""
 
 
@@ -629,16 +627,16 @@ def check_sparse_route_matches_naive(rng):
     joints, frames, dim, heads = 2, 24, 8, 2
     w = _random_attn(rng, dim, heads)
     tokens = rng.normal((joints, frames, dim))
-    sparse = np.repeat(np.eye(frames)[None], joints, axis=0)
-    sparse[:, 0, :] = 1.0  # hub row: support F
-    sparse[1, 5, [3, 11]] = 1.0
+    sparse = np.repeat(np.eye(frames, dtype=bool)[None], joints, axis=0)
+    sparse[:, 0, :] = True  # hub row: support F
+    sparse[1, 5, [3, 11]] = True
     dense = _random_binary_mask(rng, joints, frames)
     values = rng.normal((joints, frames, frames))
     cases = {
         "sparse": to_additive_mask(sparse),
-        "sparse, finite non-zero": np.where(sparse == 1.0, values, NEG_INF),
+        "sparse, finite non-zero": np.where(sparse, values, NEG_INF),
         "dense": to_additive_mask(dense),
-        "dense, finite non-zero": np.where(dense == 1.0, values, NEG_INF),
+        "dense, finite non-zero": np.where(dense, values, NEG_INF),
     }
     for name, add in cases.items():
         if sparse_route(np.isfinite(add)) != name.startswith("sparse"):
@@ -751,10 +749,9 @@ def check_mgptp_invariants(rng):
         dist, far = masked_distance(z, pooled)
         if not np.array_equal(dist, dist.T) or np.any(np.diag(dist) != 0.0):
             return "distances not symmetric with zero diagonal"
-        valid = pooled == 1.0
         off = ~np.eye(frames, dtype=bool)
-        if (~valid & off).any() and valid.any():
-            if dist[~valid & off].min() <= dist[valid & off].max():
+        if (~pooled & off).any() and pooled.any():
+            if dist[~pooled & off].min() <= dist[pooled & off].max():
                 return "masked pair not strictly farther than every valid pair"
         density = knn_density(dist, 3)
         if np.any(density <= 0.0) or np.any(density > 1.0):
@@ -776,22 +773,22 @@ def check_mgptp_invariants(rng):
 
 def check_mgptp_examples(rng):
     # pooled threshold arithmetic on a two-joint disagreement
-    mask = np.ones((2, 2, 2))
-    mask[1, 0, 1] = mask[1, 1, 0] = 0.0
+    mask = np.ones((2, 2, 2), dtype=bool)
+    mask[1, 0, 1] = mask[1, 1, 0] = False
     tokens = rng.normal((2, 2, 3))
-    if pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1] != 1.0:
+    if not pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1]:
         return "raw 0.5 at threshold 0.5 should binarize to 1"
-    if pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1] != 0.0:
+    if pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1]:
         return "raw 0.5 at threshold 0.6 should binarize to 0"
     # hand distances on the line z = [0, 3, 4]
     z = np.array([[0.0], [3.0], [4.0]])
-    dist, far = masked_distance(z, np.ones((3, 3)))
+    dist, far = masked_distance(z, np.ones((3, 3), dtype=bool))
     if not np.allclose(dist[0], [0, 3, 4]) or dist[1, 2] != 1.0:
         return "hand distances wrong"
-    dist_m, far_m = masked_distance(z, np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float))
+    dist_m, far_m = masked_distance(z, np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool))
     if dist_m[0, 2] != 4.0 + 1e-6 or far_m != 4.0 + 1e-6:
         return "sentinel distance must be max raw distance + 1e-6"
-    dist_s, far_s = masked_distance(np.zeros((3, 2)), np.ones((3, 3)))
+    dist_s, far_s = masked_distance(np.zeros((3, 2)), np.ones((3, 3), dtype=bool))
     if far_s != 1e-6 or dist_s.any():
         return "identical tokens should give zero distances and sentinel 1e-6"
     # kNN density at k=1 on the same line
@@ -799,7 +796,7 @@ def check_mgptp_examples(rng):
     if not np.allclose(density, [math.exp(-9), math.exp(-1), math.exp(-1)], rtol=0, atol=1e-15):
         return "k=1 density mismatch on the line"
     # response density softmax arithmetic
-    resp = response_density(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    resp = response_density(np.ones(2), np.array([[True, True], [False, True]]))
     expect = np.array([math.exp(2), math.exp(1)]) / (math.exp(2) + math.exp(1))
     if np.max(np.abs(resp - expect)) > 1e-12:
         return "two-frame response density mismatch"
@@ -812,12 +809,12 @@ def check_mgptp_examples(rng):
         return "tie rule should treat lower index as denser"
     # frame-constant tokens keep the first frames
     const = np.zeros((2, 6, 3))
-    _, indices = prune_frames(const, np.ones((2, 6, 6)), 0.5, 2, 3)
+    _, indices = prune_frames(const, np.ones((2, 6, 6), dtype=bool), 0.5, 2, 3)
     if list(indices) != [0, 1, 2]:
         return "all-tied saliency should keep the first frames"
     # identity prune
     tokens = rng.normal((2, 5, 3))
-    pruned, indices = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
+    pruned, indices = prune_frames(tokens, np.ones((2, 5, 5), dtype=bool), 0.5, 2, 5)
     if list(indices) != [0, 1, 2, 3, 4] or not np.array_equal(pruned, tokens):
         return "keep = frames is not the identity"
     return ""

@@ -41,29 +41,30 @@ def _random_cross(rng, dim, heads):
 
 class TestAdditiveMask:
     def test_all_ones_maps_to_zeros(self):
-        assert np.array_equal(to_additive_mask(np.ones((2, 3, 3))), np.zeros((2, 3, 3)))
+        out = to_additive_mask(np.ones((2, 3, 3), dtype=bool))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.zeros((2, 3, 3)))
 
     def test_identity_mask(self):
-        out = to_additive_mask(np.eye(4))
+        out = to_additive_mask(np.eye(4, dtype=bool))
         assert np.all(np.diag(out) == 0.0)
         assert np.all(out[~np.eye(4, dtype=bool)] == NEG_INF)
 
     def test_roundtrip_bijection(self):
         mask = _random_binary_mask(RngStream(1), 2, 5)
         add = to_additive_mask(mask)
-        assert np.array_equal(add == 0.0, mask == 1.0)
+        assert np.array_equal(add == 0.0, mask)
 
     def test_non_binary_rejected(self):
-        with pytest.raises(ValueError, match="mask not binary"):
+        with pytest.raises(ValueError, match="to_additive_mask: mask has dtype float64; expected bool"):
             to_additive_mask(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_boolean_and_float_masks_agree(self):
-        mask = _random_binary_mask(RngStream(14), 2, 5)
-        from_bool = to_additive_mask(mask.astype(bool))
-        assert from_bool.dtype == np.float32
-        assert np.array_equal(from_bool, to_additive_mask(mask))
-        with pytest.raises(ValueError, match="mask not binary"):
-            to_additive_mask(np.where(mask == 1.0, 2.0, 0.0))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
+    def test_zero_one_mask_of_any_other_dtype_rejected(self, dtype):
+        # a 0/1 mask is refused by its dtype, not read as a boolean
+        mask = _random_binary_mask(RngStream(14), 2, 5).astype(dtype)
+        with pytest.raises(ValueError, match=f"mask has dtype {np.dtype(dtype)}; expected bool"):
+            to_additive_mask(mask)
 
 
 class TestMaskedAttention:
@@ -74,7 +75,7 @@ class TestMaskedAttention:
             dim = 4 * heads
             tokens = rng.normal((2, 4, dim))
             w = _random_attn(rng, dim, heads)
-            full = to_additive_mask(np.ones((2, 4, 4)))
+            full = to_additive_mask(np.ones((2, 4, 4), dtype=bool))
             assert np.max(np.abs(sft_mhsa(tokens, full, w) - naive_attention(tokens, None, w))) < 1e-12
 
     def test_masked_two_head_instance(self):
@@ -85,7 +86,7 @@ class TestMaskedAttention:
         mask = _random_binary_mask(rng, 1, 4)
         add = to_additive_mask(mask)
         probs = attention_probs(tokens, add, w)
-        assert np.all(probs[np.broadcast_to((mask == 0.0)[:, None], probs.shape)] == 0.0)
+        assert np.all(probs[np.broadcast_to(~mask[:, None], probs.shape)] == 0.0)
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-12
         assert np.max(np.abs(sft_mhsa(tokens, add, w) - naive_attention(tokens, add, w))) < 1e-12
 
@@ -94,8 +95,8 @@ class TestMaskedAttention:
         rng = RngStream(4)
         tokens = rng.normal((1, 4, 4))
         w = _random_attn(rng, 4, 2)
-        mask = np.ones((1, 4, 4))
-        mask[0, 0, 3] = mask[0, 3, 0] = 0.0
+        mask = np.ones((1, 4, 4), dtype=bool)
+        mask[0, 0, 3] = mask[0, 3, 0] = False
         out = sft_mhsa(tokens, to_additive_mask(mask), w)
         tokens_mod = tokens.copy()
         tokens_mod[0, 3] += 100.0  # frame 3 is outside frame 0's support
@@ -119,7 +120,7 @@ class TestMaskedAttention:
     def test_boolean_mask_rejected(self):
         # a boolean mask read as float is a 0/1 score bias that admits every pair
         rng = RngStream(16)
-        mask = _random_binary_mask(rng, 2, 12).astype(bool)
+        mask = _random_binary_mask(rng, 2, 12)
         with pytest.raises(ValueError, match="dtype bool.*to_additive_mask"):
             sft_mhsa(rng.normal((2, 12, 8)), mask, _random_attn(rng, 8, 2))
 
@@ -137,7 +138,7 @@ class TestMaskedAttention:
         mask = np.empty((2, frames, frames), dtype=bool)
         mask[0] = np.eye(frames, dtype=bool)
         mask[0, 0] = mask[0, 5, [3, 11]] = True  # a hub row of support F
-        mask[1] = _random_binary_mask(rng, 1, frames)[0] == 1.0
+        mask[1] = _random_binary_mask(rng, 1, frames)[0]
         add = to_additive_mask(mask)
         add[0, 0] = np.where(mask[0, 0], rng.normal((frames,)), NEG_INF)  # finite non-zero values on the hub row
         assert [sparse_route(m) for m in mask] == [True, False]
@@ -152,7 +153,7 @@ class TestMaskedAttention:
         mask = np.empty((2, frames, frames), dtype=bool)
         mask[0] = np.eye(frames, dtype=bool)
         mask[0, 0] = True  # a hub row of support F
-        mask[1] = _random_binary_mask(rng, 1, frames)[0] == 1.0
+        mask[1] = _random_binary_mask(rng, 1, frames)[0]
         assert [sparse_route(m) for m in mask] == [True, False]
         narrow = to_additive_mask(mask)
         wide = narrow.astype(np.float64)

@@ -4,17 +4,24 @@ injects a stage failure or reads a profile in-process."""
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import htp.denoiser
 import htp.verify
 from htp import io as htp_io
 from htp.cli import EXIT_CONFIG, EXIT_IO, EXIT_STAGE, EXIT_VERIFY, main
+from htp.config import RunConfig
 
 TINY = {
     "joints": 4,
@@ -124,6 +131,19 @@ class TestGenerate:
         assert code == EXIT_IO
         assert f"out_3d: {tmp_path} is a directory" in capsys.readouterr().err
         assert not out_2d.exists()
+
+    @pytest.mark.parametrize("field", ["out_3d", "out_2d"])
+    def test_empty_output_path_is_config_error_before_generating(self, tmp_path, tiny_config, monkeypatch, capsys,
+                                                                field):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate ran before refusing an empty output path")
+
+        monkeypatch.setattr("htp.cli.generate_synthetic", refuse)
+        paths = {"out_3d": str(tmp_path / "gt.csv"), "out_2d": str(tmp_path / "obs.csv"), field: ""}
+        code = main(["generate", "--config", tiny_config, "--out-3d", paths["out_3d"], "--out-2d", paths["out_2d"]])
+        assert code == EXIT_CONFIG
+        assert f"generate: config error: {field}: no output path given" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInfer:
@@ -455,6 +475,46 @@ class TestInfer:
         assert main(["infer", "--config", tiny_config, *given]) == EXIT_CONFIG
         assert f"infer: config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,flag,message", [("input_2d", "--in-2d", "no 2-D input file given"),
+                                                    ("output_3d", "--out", "no output path given")])
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_empty_required_path_is_config_error_before_any_input(self, tmp_path, generated, monkeypatch, capsys,
+                                                                 field, flag, message, given_by):
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer read an input before refusing an empty required path")
+
+        monkeypatch.setattr(htp_io, "read_pose_csv", refuse)
+        paths = {"input_2d": generated[1], "output_3d": str(tmp_path / "x.csv")}
+        config = tmp_path / "cfg.json"
+        if given_by == "config":
+            config.write_text(json.dumps({**TINY, **paths, field: ""}))
+            argv = ["infer", "--config", str(config)]
+        else:
+            config.write_text(json.dumps(TINY))
+            argv = ["infer", "--config", str(config), "--in-2d", paths["input_2d"], "--out", paths["output_3d"]]
+            argv += [flag, ""]
+        assert main(argv) == EXIT_CONFIG
+        assert f"infer: config error: {field}: {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_empty_optional_paths_mean_not_given(self, tmp_path, tiny_config, generated, capsys):
+        _, obs = generated
+        out = tmp_path / "x.csv"
+        args = ["--gt-3d", "", "--save-params", "", "--emit-retained", "", "--emit-mask", ""]
+        assert main(["infer", "--config", tiny_config, "--in-2d", obs, "--out", str(out), *args]) == 0
+        assert "MPJPE" not in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    @pytest.mark.parametrize("fx", [1e300, 1e308])  # the squared pixel error overflows; the pixel itself overflows
+    def test_overflowing_camera_projection_exits_0_without_warning(self, tmp_path, generated, fx):
+        _, obs = generated
+        config, out = tmp_path / "camera.json", tmp_path / "x.csv"
+        config.write_text(json.dumps({**TINY, "camera": {"fx": fx, "fy": 1145.0, "cx": 512.0, "cy": 512.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["infer", "--config", str(config), "--in-2d", obs, "--out", str(out)]) == 0
+        assert np.isfinite(htp_io.read_pose_csv(out)).all()
+
     def test_invalid_flag_value_is_config_error(self, tmp_path, tiny_config, generated):
         _, obs = generated
         result = run_cli("infer", "--config", tiny_config, "--in-2d", obs,
@@ -473,6 +533,77 @@ class TestInfer:
                      "--K", "20", "--T", "10"])
         assert code == EXIT_CONFIG
         assert "iterations: must be <= timesteps=10" in capsys.readouterr().err
+
+
+# Bad or boundary values for one key of a tiny valid infer config. Every value keeps H, K <= 2 and every tensor
+# far under init_params' threaded size, asks for no threads, and never pairs a large timesteps with "cosine".
+_BAD_NUMBERS = [float("nan"), INF, -INF, -1, 0, True, "2", None]
+_CAMERA = {"fx": 1145.0, "fy": 1145.0, "cx": 512.0, "cy": 512.0}
+BAD_VALUES = {
+    "joints": _BAD_NUMBERS + [1, 5, 17, 2.5],
+    "frames": _BAD_NUMBERS + [1, 2, 11, 13],
+    "embed_dim": _BAD_NUMBERS + [1, 3, 32],
+    "keep_frames": _BAD_NUMBERS + [1, 12, 13],
+    "corr_topk": _BAD_NUMBERS + [1, 11, 12, 10**6],
+    "blocks": _BAD_NUMBERS + [1, 3],
+    "sparse_blocks": _BAD_NUMBERS + [2, 3],
+    "heads": _BAD_NUMBERS + [1, 3, 16, 32],
+    "mlp_ratio": _BAD_NUMBERS + [1e-9, 0.5, 1],
+    "pool_threshold": _BAD_NUMBERS + [1e-300, 1, 1.5],
+    "knn_k": _BAD_NUMBERS + [1, 11, 12],
+    "temporal_graph": ["", "ring", 1, None, "full"],
+    "recompute_mask_per_block": [1, 0, "yes", None, True],
+    "joint_adjacency": ["abc", [[1]], [[1, 0], [0, 1]], np.full((4, 4), NAN).tolist(), np.eye(4).tolist(),
+                        np.full((4, 4), 1e308).tolist()],
+    "hypotheses": _BAD_NUMBERS + [1, 2.0],
+    "iterations": _BAD_NUMBERS + [1, 2.0],
+    "timesteps": _BAD_NUMBERS + [1, 2, 10**5, 10**12],
+    "ddim_eta": _BAD_NUMBERS + [0.0, 1, 1.5],
+    "schedule": ["", "cosine", "quadratic", 1, None],
+    "seed": _BAD_NUMBERS + [2**32, 2**64, 2**200],
+    "inference_sparse_blocks": _BAD_NUMBERS + [2, 3],
+    "camera": [{**_CAMERA, k: v} for k in ("fx", "cx") for v in (1e300, 1e308, -1e308, 0.0, NAN, INF, "1", True)]
+              + [{k: v for k, v in _CAMERA.items() if k != "cy"}, {**_CAMERA, "k1": 0.1}, [], "pinhole"],
+    "input_2d": ["", 5, None, True, ".", "missing.csv"],
+    "input_gt": ["", 5, True, ".", "missing.csv", "obs.csv"],
+    "output_3d": ["", 5, None, True, ".", "missing/x.csv"],
+}
+FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def test_generated_bad_config_values_keep_the_exit_code_contract(tmp_path, generated, monkeypatch, capsys):
+    """Each run exits 0, 2 or 3, or 1 naming its stage; no exception escapes; a failure names the field or
+    path it refuses and writes nothing."""
+    monkeypatch.chdir(tmp_path)  # relative paths among the values resolve here
+    _, obs = generated
+    Path("obs.csv").write_bytes(Path(obs).read_bytes())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(BAD_VALUES)).flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(BAD_VALUES[k]))))
+    @example(("camera", {**_CAMERA, "fx": 1e308}))
+    @example(("output_3d", ""))
+    @example(("input_2d", ""))
+    def check(mutation):
+        key, value = mutation
+        run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        config = {**TINY, "input_2d": obs, "output_3d": str(run_dir / "x.csv"), key: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["infer", "--config", str(tmp_path / "cfg.json")])
+        err = capsys.readouterr().err.strip()
+        if code == 0:
+            return
+        last = err.splitlines()[-1]
+        named = [f for f in FIELDS if re.search(rf"\b{f}[:,]", last)]
+        paths = [v for v in config.values() if isinstance(v, str) and v and v in last]
+        assert code in (1, 2, 3), (mutation, code, err)
+        if code == 1:
+            assert re.match(r"infer: [a-z][a-z0-9_]*: ", last), (mutation, err)
+        else:
+            assert last.startswith(("infer: config error: ", "infer: i/o error: ")), (mutation, err)
+            assert named or paths, (mutation, err)
+        assert list(run_dir.iterdir()) == [], (mutation, err)
+
+    check()
 
 
 class TestProfile:

@@ -196,6 +196,15 @@ class TestJpma:
         out = jpma_aggregate(poses, np.zeros((1, 2, 2)), self.CAM)
         assert np.array_equal(out, poses[0])
 
+    @pytest.mark.parametrize("fx", [1e300, 1e308])  # the squared pixel error overflows; the pixel itself overflows
+    def test_overflowing_error_never_beats_a_finite_one(self, fx):
+        cam = CameraModel(fx=fx, fy=1100.0, cx=500.0, cy=400.0)
+        # frame 0: hypothesis 0 overflows and hypothesis 1 hits the keypoint; frame 1: both overflow
+        poses = np.array([[[[2000.0, 0.0, 1.0], [2000.0, 0.0, 1.0]]], [[[0.0, 0.0, 1.0], [3000.0, 0.0, 1.0]]]])
+        out = jpma_aggregate(poses, np.full((1, 2, 2), [500.0, 400.0]), cam)
+        assert np.array_equal(out[0, 0], poses[1, 0, 0])
+        assert np.array_equal(out[0, 1], poses[0, 0, 1])  # no finite error: hypothesis 0
+
     @pytest.mark.parametrize("shape", [(2, 3, 3), (0, 2, 3, 3), (2, 1, 2, 3, 3)])
     def test_not_a_hypothesis_stack_is_shape_error(self, shape):
         with pytest.raises(ShapeError, match=r"\(H, J, F, 3\)"):

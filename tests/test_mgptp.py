@@ -23,7 +23,7 @@ from htp.verify import _random_binary_mask, naive_knn_density, naive_prune_indic
 
 def _full_distance(tokens):
     frames = tokens.shape[0]
-    return masked_distance(tokens, np.ones((frames, frames)))
+    return masked_distance(tokens, np.ones((frames, frames), dtype=bool))
 
 
 class TestPooling:
@@ -44,18 +44,18 @@ class TestPooling:
 
     def test_disagreement_threshold_arithmetic(self):
         # two joints disagree at (0, 1): pooled average is exactly 0.5
-        mask = np.ones((2, 2, 2))
-        mask[1, 0, 1] = mask[1, 1, 0] = 0.0
+        mask = np.ones((2, 2, 2), dtype=bool)
+        mask[1, 0, 1] = mask[1, 1, 0] = False
         tokens = RngStream(3).normal((2, 2, 2))
-        assert pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1] == 1.0
-        assert pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1] == 0.0
+        assert pool_tokens_and_mask(tokens, mask, 0.5)[1][0, 1]
+        assert not pool_tokens_and_mask(tokens, mask, 0.6)[1][0, 1]
 
     def test_diagonal_stays_one(self):
         rng = RngStream(4)
         _, pooled = pool_tokens_and_mask(rng.normal((3, 5, 2)), _random_binary_mask(rng, 3, 5), 1.0)
-        assert np.all(np.diag(pooled) == 1.0)
+        assert np.diag(pooled).all()
 
-    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    @pytest.mark.parametrize("dtype", [bool])
     def test_pooled_mask_is_boolean(self, dtype):
         rng = RngStream(5)
         mask = _random_binary_mask(rng, 3, 5)
@@ -63,9 +63,25 @@ class TestPooling:
         assert pooled.dtype == bool
         assert np.array_equal(pooled, mask.mean(axis=0) >= 0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_zero_one_mask_rejected_by_dtype(self, dtype):
+        # prune_frames pools first, so it refuses the mask before any distance is taken
+        rng = RngStream(5)
+        mask = _random_binary_mask(rng, 3, 5).astype(dtype)
+        message = f"pool_tokens_and_mask: mask has dtype {np.dtype(dtype)}; expected bool"
+        with pytest.raises(ValueError, match=message):
+            pool_tokens_and_mask(rng.normal((3, 5, 2)), mask, 0.5)
+        with pytest.raises(ValueError, match=message):
+            prune_frames(rng.normal((3, 5, 2)), mask, 0.5, 2, 3)
+
+    @pytest.mark.parametrize("consumer", [masked_distance, response_density])
+    def test_pooled_consumers_reject_a_float_mask(self, consumer):
+        with pytest.raises(ValueError, match=f"{consumer.__name__}: mask has dtype float64; expected bool"):
+            consumer(np.zeros((3, 2)) if consumer is masked_distance else np.ones(3), np.ones((3, 3)))
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
-            pool_tokens_and_mask(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), 0.0)
+            pool_tokens_and_mask(np.zeros((1, 2, 2)), np.ones((1, 2, 2), dtype=bool), 0.0)
 
 
 class TestMaskedDistance:
@@ -74,14 +90,14 @@ class TestMaskedDistance:
         assert np.allclose(dist, [[0, 3, 4], [3, 0, 1], [4, 1, 0]], atol=0)
 
     def test_sentinel_replaces_masked_pair(self):
-        mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
+        mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
         dist, far = masked_distance(np.array([[0.0], [3.0], [4.0]]), mask)
         assert far == 4.0 + 1e-6
         assert dist[0, 2] == far and dist[2, 0] == far
 
     def test_sentinel_exceeds_a_distance_the_margin_cannot_lift(self):
         # 1e-6 is under half an ulp of 3e10, so max + MASK_MARGIN rounds back to the max
-        mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 1]], dtype=float)
+        mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 1]], dtype=bool)
         dist, far = masked_distance(np.array([[0.0], [3e10], [1.0]]), mask)
         assert dist[0, 1] == 3e10 and far == np.nextafter(3e10, np.inf)
         assert dist[1, 2] == dist[2, 1] == far
@@ -99,8 +115,8 @@ class TestMaskedDistance:
             z, pooled = pool_tokens_and_mask(tokens, mask, 0.5)
             dist, _ = masked_distance(z, pooled)
             off = ~np.eye(6, dtype=bool)
-            valid = (pooled == 1.0) & off
-            blocked = (pooled == 0.0) & off
+            valid = pooled & off
+            blocked = ~pooled & off
             if blocked.any() and valid.any():
                 assert dist[blocked].min() > dist[valid].max()
 
@@ -151,11 +167,11 @@ class TestDensity:
 class TestResponseAndSeparation:
     def test_uniform_support_divides_by_frames(self):
         density = RngStream(7).uniform(0.1, 1.0, (5,))
-        resp = response_density(density, np.ones((5, 5)))
+        resp = response_density(density, np.ones((5, 5), dtype=bool))
         assert np.allclose(resp, density / 5, atol=1e-16)
 
     def test_two_frame_softmax_arithmetic(self):
-        resp = response_density(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        resp = response_density(np.ones(2), np.array([[True, True], [False, True]]))
         expect = np.array([math.exp(2), math.exp(1)]) / (math.exp(2) + math.exp(1))
         assert np.max(np.abs(resp - expect)) < 1e-12
         assert resp[0] == pytest.approx(0.7311, abs=1e-4)
@@ -194,7 +210,7 @@ class TestSelectAndPrune:
     def test_identity_prune(self):
         rng = RngStream(9)
         tokens = rng.normal((2, 5, 3))
-        pruned, indices = prune_frames(tokens, np.ones((2, 5, 5)), 0.5, 2, 5)
+        pruned, indices = prune_frames(tokens, np.ones((2, 5, 5), dtype=bool), 0.5, 2, 5)
         assert list(indices) == [0, 1, 2, 3, 4]
         assert np.array_equal(pruned, tokens)
 
@@ -215,12 +231,12 @@ class TestSelectAndPrune:
 
     def test_frame_constant_tokens_keep_first(self):
         tokens = np.ones((2, 6, 3))
-        _, indices = prune_frames(tokens, np.ones((2, 6, 6)), 0.5, 2, 3)
+        _, indices = prune_frames(tokens, np.ones((2, 6, 6), dtype=bool), 0.5, 2, 3)
         assert list(indices) == [0, 1, 2]
 
     def test_keep_too_large_rejected(self):
         with pytest.raises(ValueError, match="keep"):
-            prune_frames(np.zeros((1, 3, 2)), np.ones((1, 3, 3)), 0.5, 1, 4)
+            prune_frames(np.zeros((1, 3, 2)), np.ones((1, 3, 3), dtype=bool), 0.5, 1, 4)
 
     def test_determinism(self):
         rng = RngStream(12)

@@ -12,7 +12,6 @@ from htp.tcep import (
     chain_adjacency,
     frame_similarity,
     fuse_adjacency,
-    mask_similarity,
     select_topk_mask,
     tcep_refine,
 )
@@ -211,18 +210,6 @@ class TestSelectTopkTies:
             assert np.array_equal(select_topk_mask(scores[index], top_k), expected)
 
 
-class TestMaskSimilarity:
-    def test_all_ones_is_identity(self):
-        s = RngStream(8).normal((4, 4))
-        assert np.array_equal(mask_similarity(s, np.ones((4, 4))), s)
-
-    def test_identity_mask_keeps_diagonal_only(self):
-        s = RngStream(9).normal((3, 3))
-        out = mask_similarity(s, np.eye(3))
-        assert np.all(np.isfinite(np.diag(out)))
-        assert np.all(out[~np.eye(3, dtype=bool)] == NEG_INF)
-
-
 class TestTcepRefine:
     def _instance(self, seed, joints=2, frames=5, dim=3):
         rng = RngStream(seed)
@@ -263,9 +250,9 @@ class TestTcepRefine:
         _, mask = tcep_refine(tokens, fused, weight, 2)
         for j in range(mask.shape[0]):
             sim = frame_similarity(tokens[j])
-            soft = softmax_rows(mask_similarity(sim, mask[j]))
+            soft = softmax_rows(np.where(mask[j], sim, NEG_INF))
             assert np.max(np.abs(soft.sum(axis=1) - 1.0)) < 1e-12
-            assert np.all(soft[mask[j] == 0.0] == 0.0)
+            assert np.all(soft[~mask[j]] == 0.0)
 
     def test_clamp_is_silent_and_keeps_f_minus_one(self, caplog):
         tokens, fused, weight = self._instance(25, joints=4, frames=4)
