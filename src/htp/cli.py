@@ -129,7 +129,9 @@ def _cmd_generate(args) -> int:
     except MemoryError as exc:  # a (J, F) geometry numpy refuses to allocate
         raise ConfigError(f"joints, frames: cannot allocate ({cfg.joints}, {cfg.frames}) poses ({exc})") from None
     if not np.isfinite(pose_2d).all():  # before either file is opened, so a failure writes neither
-        raise ConfigError(f"camera: the generated poses project to non-finite pixels "
+        with np.errstate(over="ignore", invalid="ignore"):  # blame the noise only if the camera alone projects
+            field = "noise_2d" if np.isfinite(cfg.camera_model().project(pose_3d)).all() else "camera"
+        raise ConfigError(f"{field}: the generated poses project to non-finite pixels "
                           f"(camera {cfg.camera}, noise_2d {args.noise_2d})")
     htp_io.write_pose_csv(args.out_3d, pose_3d)
     htp_io.write_pose_csv(args.out_2d, pose_2d)
@@ -236,6 +238,7 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_all  # verify drives `infer` through main, so import it here, not at load
 
+    RunConfig(seed=args.seed)  # a seed outside the config's range is refused as in a run config
     results = run_all(seed=args.seed, echo=True)
     failures = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)

@@ -51,6 +51,8 @@ class RunConfig(DenoiserConfig):
             problems.append(f"iterations: must be <= timesteps={self.timesteps} (got {self.iterations})")
         if not 0.0 <= self.ddim_eta <= 1.0:
             problems.append(f"ddim_eta: must be in [0, 1] (got {self.ddim_eta})")
+        if not 0 <= self.seed < 2**64:  # RngStream reads a seed mod 2**64: two seeds must not run one stream
+            problems.append(f"seed: must be in [0, 2**64) (got {self.seed})")
         if self.schedule not in SCHEDULE_KINDS:
             problems.append(f"schedule: must be one of {SCHEDULE_KINDS} (got {self.schedule!r})")
         if self.inference_sparse_blocks is not None and not 0 <= self.inference_sparse_blocks <= self.blocks:

@@ -5,6 +5,9 @@ the construction suite (symmetry, unit diagonal, minimum support, stable-sort
 oracle) and the upper caps on support that the OR-symmetrized construction
 has: F*min(2k+1, F) in total per joint, and k+1+in_p for a row that in_p
 other rows select. A single row is not capped at 2k+1; a hub frame reaches F.
+
+Every other `htp verify` check runs once as `test_verify_check[<name>]`, so
+`-m "not slow"` runs all of them; a check is the one home of its property.
 """
 
 import json
@@ -115,6 +118,25 @@ def test_criterion_7_macs_reproduction():
     within +-15% of 278.1G dense and 175.3G pruned; (c) inference totals scale
     exactly by H*K with a 56% +- 5 point reduction."""
     _run("criterion-7 MACs reproduction", check_macs_acceptance, 19)
+
+
+CRITERION_CHECKS = {
+    check_mask_construction_suite, check_mask_row_support_upper_bound, check_attention_dense_equivalence,
+    check_attention_masked_zero_rowsum, check_mgptp_oracle_500, check_ddim_sigma_arithmetic,
+    check_sampler_consistency, check_forward_statistics, check_dense_degenerate_equivalence, check_macs_acceptance,
+}
+
+
+@pytest.mark.parametrize(
+    "index, check",
+    [pytest.param(index, check, id=name) for index, (name, check) in enumerate(CHECKS)
+     if check not in CRITERION_CHECKS],
+)
+def test_verify_check(index, check):
+    """Every `htp verify` check that no criterion test runs, on the RNG child
+    `verify.run_all` gives it, so each verdict is `htp verify`'s."""
+    detail = check(RngStream(SEED).child(index))
+    assert detail == "", detail
 
 
 SMOKE_CONFIG = {

@@ -71,14 +71,14 @@ def generated(tmp_path_factory, tiny_config):
 
 
 class TestGenerate:
-    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf", "1e308"])  # 1e308: finite, but the noisy pixels overflow
     def test_invalid_noise_is_config_error(self, tmp_path, tiny_config, capsys, noise):
         out_3d, out_2d = tmp_path / "gt.csv", tmp_path / "obs.csv"
         code = main(["generate", "--config", tiny_config, f"--noise-2d={noise}",
                      "--out-3d", str(out_3d), "--out-2d", str(out_2d)])
         assert code == EXIT_CONFIG
-        assert "noise_2d" in capsys.readouterr().err
-        assert not out_2d.exists()
+        assert "generate: config error: noise_2d: " in capsys.readouterr().err
+        assert not out_3d.exists() and not out_2d.exists()
 
     def test_writes_both_files(self, generated):
         gt, obs = generated
@@ -604,6 +604,23 @@ def test_generated_bad_config_values_keep_the_exit_code_contract(tmp_path, gener
         assert list(run_dir.iterdir()) == [], (mutation, err)
 
     check()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["generate", "infer", "profile", "verify"])
+def test_seed_outside_the_stream_range_is_config_error(tmp_path, capsys, command, seed):
+    # RngStream reads a seed mod 2**64, so -1 would run the stream of 2**64 - 1
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**TINY, "seed": seed}))
+    args = {
+        "generate": ["--config", str(config), "--out-3d", str(tmp_path / "g.csv"), "--out-2d", str(tmp_path / "o.csv")],
+        "infer": ["--config", str(config), "--in-2d", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv")],
+        "profile": ["--config", str(config)],
+        "verify": ["--seed", str(seed)],
+    }[command]
+    assert main([command, *args]) == EXIT_CONFIG
+    assert f"{command}: config error: seed: must be in [0, 2**64) (got {seed})" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 class TestProfile:

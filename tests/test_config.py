@@ -90,6 +90,8 @@ class TestValidation:
             ({"joints": 2, "joint_adjacency": [[-1, 0], [0, 1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [0] do not)")),
             ({"joints": 2, "joint_adjacency": [[1, 1], [1, -1]]}, re.escape("joint_adjacency: every row must sum to > 0 (rows [1] do not)")),
             ({"joints": 2, "joint_adjacency": [[1e308, 1e308], [1e308, 1]]}, re.escape("joint_adjacency: row sums must be finite (rows [0] overflow)")),
+            ({"seed": -1}, re.escape("seed: must be in [0, 2**64) (got -1)")),
+            ({"seed": 2**64}, re.escape("seed: must be in [0, 2**64) (got 18446744073709551616)")),
         ],
     )
     def test_named_violations(self, overrides, needle):
@@ -104,6 +106,9 @@ class TestValidation:
         for wrong in ("2", True):
             with pytest.raises(ConfigError, match=re.escape("inference_sparse_blocks: must be of type int | None")):
                 load_config(None, {"inference_sparse_blocks": wrong})
+
+    def test_seed_range_ends_accepted(self):
+        assert [load_config(None, {"seed": seed}).seed for seed in (0, 2**64 - 1)] == [0, 2**64 - 1]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):

@@ -9,9 +9,7 @@ import pytest
 from htp.core import RngStream, ShapeError
 from htp.diffusion import (
     CameraModel,
-    DiffusionSchedule,
     build_schedule,
-    ddim_sigma,
     ddim_step,
     forward_diffuse,
     jpma_aggregate,
@@ -23,11 +21,6 @@ from htp.verify import naive_jpma
 
 
 class TestSchedule:
-    def test_single_step(self):
-        sched = build_schedule(1, "linear")
-        assert np.array_equal(sched.betas, [1e-4])
-        assert sched.alpha_bar(1) == pytest.approx(0.9999, abs=1e-15)
-
     def test_strictly_decreasing(self):
         for kind in ("linear", "cosine"):
             sched = build_schedule(500, kind)
@@ -68,11 +61,6 @@ class TestSchedule:
 
 
 class TestForwardProcess:
-    def test_hand_arithmetic(self):
-        sched = DiffusionSchedule(1, np.array([0.75]), np.array([0.25]))
-        out = forward_diffuse(np.full((1, 1, 1), 2.0), 1, np.ones((1, 1, 1)), sched)
-        assert out[0, 0, 0] == pytest.approx(1.8660254037844386, abs=1e-15)
-
     def test_zero_noise_scales_exactly(self):
         sched = build_schedule(10)
         y0 = RngStream(1).normal((2, 3, 3))
@@ -101,25 +89,8 @@ class TestForwardProcess:
         with pytest.raises(ValueError):
             predict_eps(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 0, sched)
 
-    def test_statistical_mean(self):
-        # acceptance-style bound at a single timestep
-        sched = build_schedule(1000)
-        y0 = np.array([[[2.0, -1.0, 0.5]]])
-        draws = 100_000
-        eps = RngStream(4).normal((draws,) + y0.shape)
-        t = 500
-        samples = math.sqrt(sched.alpha_bar(t)) * y0 + math.sqrt(1 - sched.alpha_bar(t)) * eps
-        bound = 4 * math.sqrt((1 - sched.alpha_bar(t)) / draws)
-        assert np.max(np.abs(samples.mean(axis=0) - math.sqrt(sched.alpha_bar(t)) * y0)) < bound
-
 
 class TestDdim:
-    def test_sigma_hand_value(self):
-        assert abs(ddim_sigma(0.5, 0.75) - math.sqrt(1 / 6)) < 1e-12
-
-    def test_sigma_vanishes_on_equal_fractions(self):
-        assert ddim_sigma(0.5, 0.5) == 0.0
-
     def test_step_requires_decreasing_t(self):
         sched = build_schedule(10)
         with pytest.raises(ValueError):
@@ -140,10 +111,6 @@ class TestTimestepRule:
     def test_final_iteration_reaches_zero(self):
         assert timestep_for_iteration(10, 10, 1000) == 0
         assert timestep_for_iteration(3, 3, 7) == 0
-
-    def test_shrinking_schedule_values(self):
-        assert timestep_for_iteration(1, 10, 1000) == 900
-        assert timestep_for_iteration(5, 10, 1000) == 500
 
     def test_half_up_rounding(self):
         # 5 * (1 - 1/2) = 2.5 rounds up deterministically
