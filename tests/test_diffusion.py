@@ -10,6 +10,7 @@ from htp.core import RngStream, ShapeError
 from htp.diffusion import (
     CameraModel,
     build_schedule,
+    ddim_sigma,
     ddim_step,
     forward_diffuse,
     jpma_aggregate,
@@ -89,8 +90,25 @@ class TestForwardProcess:
         with pytest.raises(ValueError):
             predict_eps(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 0, sched)
 
+    def test_statistical_mean(self):
+        # acceptance-style bound at a single timestep
+        sched = build_schedule(1000)
+        y0 = np.array([[[2.0, -1.0, 0.5]]])
+        draws = 100_000
+        eps = RngStream(4).normal((draws,) + y0.shape)
+        t = 500
+        samples = math.sqrt(sched.alpha_bar(t)) * y0 + math.sqrt(1 - sched.alpha_bar(t)) * eps
+        bound = 4 * math.sqrt((1 - sched.alpha_bar(t)) / draws)
+        assert np.max(np.abs(samples.mean(axis=0) - math.sqrt(sched.alpha_bar(t)) * y0)) < bound
+
 
 class TestDdim:
+    def test_sigma_hand_value(self):
+        assert abs(ddim_sigma(0.5, 0.75) - math.sqrt(1 / 6)) < 1e-12
+
+    def test_sigma_vanishes_on_equal_fractions(self):
+        assert ddim_sigma(0.5, 0.5) == 0.0
+
     def test_step_requires_decreasing_t(self):
         sched = build_schedule(10)
         with pytest.raises(ValueError):

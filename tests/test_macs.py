@@ -1,12 +1,13 @@
-"""Analytic MAC accounting: primitives and the stage walk (the published-cost windows are criterion 7)."""
+"""Analytic MAC accounting: primitives, stage walk, published-cost windows."""
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from htp.denoiser import DenoiserConfig
-from htp.macs import macs_attention, macs_ffn, macs_linear, mask_support_rows, profile_model
+from htp.macs import GIGA, macs_attention, macs_ffn, macs_linear, mask_support_rows, profile_model
 
 
 class TestPrimitives:
@@ -44,6 +45,11 @@ class TestPrimitives:
 
 
 class TestProfile:
+    def test_totals_are_stage_sums(self):
+        report = profile_model(DenoiserConfig(), 20, 10)
+        assert sum(c for _, c in report.stages) == report.single_pass_total
+        assert all(isinstance(c, int) and c >= 0 for _, c in report.stages)
+
     def test_single_pass_at_unit_sampling(self):
         report = profile_model(DenoiserConfig(), 1, 1)
         assert report.inference_total == report.inference_single_pass
@@ -54,6 +60,20 @@ class TestProfile:
             rep = profile_model(DenoiserConfig(), hypotheses, iterations)
             assert rep.inference_total == base.inference_single_pass * hypotheses * iterations
             assert rep.dense_inference_total == base.dense_single_pass * hypotheses * iterations
+
+    def test_published_cost_windows(self):
+        report = profile_model(DenoiserConfig(), 20, 10)
+        assert 0.85 * 278.1 * GIGA <= report.dense_single_pass <= 1.15 * 278.1 * GIGA
+        assert 0.85 * 175.3 * GIGA <= report.single_pass_total <= 1.15 * 175.3 * GIGA
+        assert 0.51 <= report.inference_reduction <= 0.61
+
+    def test_post_prune_score_ratio_exact(self):
+        cfg = DenoiserConfig()
+        proj_kept = 4 * macs_linear(cfg.joints * cfg.keep_frames, cfg.embed_dim, cfg.embed_dim)
+        proj_full = 4 * macs_linear(cfg.joints * cfg.frames, cfg.embed_dim, cfg.embed_dim)
+        kept = macs_attention(cfg.keep_frames, cfg.joints, cfg.embed_dim, cfg.heads) - proj_kept
+        full = macs_attention(cfg.frames, cfg.joints, cfg.embed_dim, cfg.heads) - proj_full
+        assert Fraction(kept, full) == Fraction(54, 243) ** 2
 
     def test_quadratic_scaling_in_kept_frames(self):
         cfg = DenoiserConfig()

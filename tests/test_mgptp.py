@@ -18,7 +18,7 @@ from htp.mgptp import (
     select_and_prune,
     separation_distance,
 )
-from htp.verify import _random_binary_mask, naive_knn_density
+from htp.verify import _random_binary_mask, naive_knn_density, naive_prune_indices
 
 
 def _full_distance(tokens):
@@ -85,6 +85,10 @@ class TestPooling:
 
 
 class TestMaskedDistance:
+    def test_hand_line_distances(self):
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
+        assert np.allclose(dist, [[0, 3, 4], [3, 0, 1], [4, 1, 0]], atol=0)
+
     def test_sentinel_replaces_masked_pair(self):
         mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
         dist, far = masked_distance(np.array([[0.0], [3.0], [4.0]]), mask)
@@ -166,6 +170,12 @@ class TestResponseAndSeparation:
         resp = response_density(density, np.ones((5, 5), dtype=bool))
         assert np.allclose(resp, density / 5, atol=1e-16)
 
+    def test_two_frame_softmax_arithmetic(self):
+        resp = response_density(np.ones(2), np.array([[True, True], [False, True]]))
+        expect = np.array([math.exp(2), math.exp(1)]) / (math.exp(2) + math.exp(1))
+        assert np.max(np.abs(resp - expect)) < 1e-12
+        assert resp[0] == pytest.approx(0.7311, abs=1e-4)
+
     def test_empty_mask_row_gets_zero_response(self):
         # unreachable on the forward path (self-loops), reachable from a caller's mask
         mask = np.eye(3, dtype=bool)
@@ -181,11 +191,29 @@ class TestResponseAndSeparation:
         assert np.allclose(b, 4.2 * a, rtol=1e-15)
         assert np.argmax(a) == np.argmax(b)
 
+    def test_separation_hand_values(self):
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
+        assert np.allclose(separation_distance(dist, np.array([3.0, 2.0, 1.0])), [4, 3, 1], atol=0)
+
+    def test_separation_all_equal_uses_index_order(self):
+        dist, _ = _full_distance(np.array([[0.0], [3.0], [4.0]]))
+        sep = separation_distance(dist, np.ones(3))
+        assert sep[0] == 4.0  # peak by the lower-index rule
+        assert sep[1] == 3.0  # distance to frame 0
+        assert sep[2] == 1.0  # min distance to frames 0 and 1
+
     def test_single_frame_separation_zero(self):
         assert np.array_equal(separation_distance(np.zeros((1, 1)), np.ones(1)), np.zeros(1))
 
 
 class TestSelectAndPrune:
+    def test_identity_prune(self):
+        rng = RngStream(9)
+        tokens = rng.normal((2, 5, 3))
+        pruned, indices = prune_frames(tokens, np.ones((2, 5, 5), dtype=bool), 0.5, 2, 5)
+        assert list(indices) == [0, 1, 2, 3, 4]
+        assert np.array_equal(pruned, tokens)
+
     def test_keep_one_is_argmax(self):
         rng = RngStream(10)
         tokens = rng.normal((2, 6, 3))
@@ -201,6 +229,11 @@ class TestSelectAndPrune:
         assert np.all(np.diff(indices) > 0)
         assert np.array_equal(pruned, tokens[:, indices, :])
 
+    def test_frame_constant_tokens_keep_first(self):
+        tokens = np.ones((2, 6, 3))
+        _, indices = prune_frames(tokens, np.ones((2, 6, 6), dtype=bool), 0.5, 2, 3)
+        assert list(indices) == [0, 1, 2]
+
     def test_keep_too_large_rejected(self):
         with pytest.raises(ValueError, match="keep"):
             prune_frames(np.zeros((1, 3, 2)), np.ones((1, 3, 3), dtype=bool), 0.5, 1, 4)
@@ -212,3 +245,17 @@ class TestSelectAndPrune:
         _, a = prune_frames(tokens, mask, 0.5, 3, 4)
         _, b = prune_frames(tokens, mask, 0.5, 3, 4)
         assert np.array_equal(a, b)
+
+    def test_matches_loop_oracle(self):
+        rng = RngStream(13)
+        for trial in range(60):
+            joints = 1 + trial % 3
+            frames = 2 + trial % 11
+            dim = 1 + trial % 4
+            tokens = rng.normal((joints, frames, dim))
+            mask = _random_binary_mask(rng, joints, frames)
+            k = 1 + trial % (frames - 1) if frames > 1 else 1
+            keep = 1 + trial % frames
+            threshold = (0.3, 0.5, 1.0)[trial % 3]
+            _, indices = prune_frames(tokens, mask, threshold, k, keep)
+            assert list(indices) == naive_prune_indices(tokens, mask, threshold, k, keep)
